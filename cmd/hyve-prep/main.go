@@ -28,6 +28,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/point"
 )
 
 type options struct {
@@ -206,7 +207,7 @@ func gridP(o options, g *graph.Graph, ds *graph.Dataset) (int, error) {
 	case "", "off":
 		return 0, nil
 	case "auto":
-		cfg, err := accConfig(o.config)
+		cfg, err := point.Spec{Config: o.config}.CoreConfig()
 		if err != nil {
 			return 0, err
 		}
@@ -461,20 +462,4 @@ func generate(spec string) (*graph.Graph, uint64, error) {
 		return g, seed, err
 	}
 	return nil, 0, fmt.Errorf("unknown generator %q (want rmat or uniform)", parts[0])
-}
-
-func accConfig(name string) (core.Config, error) {
-	switch name {
-	case "hyve":
-		return core.HyVE(), nil
-	case "hyve-opt":
-		return core.HyVEOpt(), nil
-	case "sd":
-		return core.SRAMDRAM(), nil
-	case "dram":
-		return core.AccDRAM(), nil
-	case "reram":
-		return core.AccReRAM(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown config %q (want hyve, hyve-opt, sd, dram, reram)", name)
 }

@@ -17,23 +17,28 @@
 // exactly that). It covers the five core configurations; the analytic
 // graphr/cpu baselines have no result document.
 //
+// Points are named and checked by internal/point, the model every front
+// door shares: an unknown name or a negative or overflowing -sram fails
+// before any point runs, and -sram 0 keeps the preset's 2 MB.
+//
 // A sweep (more than one point) fans the points across a worker pool
-// (-parallel, default GOMAXPROCS), buffers each point's report, and
-// emits them in sweep order — dataset-major, then algorithm, then
-// configuration — so the output is byte-identical at any worker count.
-// A single point prints exactly what it always did, no headers added.
+// (-parallel, default GOMAXPROCS) and emits each point's report in sweep
+// order — dataset-major, then algorithm, then configuration — as soon
+// as it and every point before it have finished, so the output is
+// byte-identical at any worker count. A failing point stops the sweep
+// after the reports before it. A single point prints exactly what it
+// always did, no headers added.
 package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/cpusim"
@@ -42,6 +47,7 @@ import (
 	"repro/internal/graphr"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/point"
 )
 
 func main() {
@@ -49,7 +55,7 @@ func main() {
 		dataset = flag.String("dataset", "YT", "dataset (comma-separated to sweep): YT, WK, AS, LJ, TW")
 		algon   = flag.String("algo", "PR", "algorithm (comma-separated to sweep): PR, BFS, CC, SSSP, SpMV")
 		config  = flag.String("config", "hyve-opt", "configuration (comma-separated to sweep): hyve, hyve-opt, sd, dram, reram, graphr, cpu, cpu-opt")
-		sramMB  = flag.Int64("sram", 2, "per-PU on-chip vertex memory in MB (accelerator configs)")
+		sramMB  = flag.Int64("sram", 2, "per-PU on-chip vertex memory in MB for configs with on-chip SRAM (0 = the preset default, 2 MB)")
 		verbose = flag.Bool("v", false, "print per-phase detail")
 		par     = flag.Int("parallel", 0, "worker count for sweep points (0 = GOMAXPROCS, 1 = serial)")
 		jsonOut = flag.Bool("json", false, "emit one canonical JSON artifact document per point instead of text")
@@ -71,8 +77,13 @@ func main() {
 	case *result:
 		mode = modeResult
 	}
-	if err := runSweep(os.Stdout, os.Stderr, splitList(*dataset), splitList(*algon), splitList(*config),
-		*sramMB, *verbose, mode, *par); err != nil {
+	sw := point.Sweep{
+		Datasets: point.SplitList(*dataset),
+		Algos:    point.SplitList(*algon),
+		Configs:  point.SplitList(*config),
+		SRAMMB:   *sramMB,
+	}
+	if err := runSweep(os.Stdout, os.Stderr, sw, *verbose, mode, *par); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -89,36 +100,26 @@ const (
 	modeResult
 )
 
-// splitList parses a comma-separated flag value, dropping empty items so
-// "YT," and "YT" mean the same thing.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // runSweep runs the cross product of datasets × algorithms × configs.
-// One point streams straight to w; a sweep computes every point into an
-// index-addressed buffer (fanned across the worker pool) and emits them
-// in order, closing with an aggregate-vs-wall-clock speedup line on
-// progress (stderr in the binary) so w stays pipeable — in particular,
-// -json output on w is a clean concatenation of JSON documents.
-func runSweep(w, progress io.Writer, datasets, algos, configs []string, sramMB int64, verbose bool, mode outputMode, par int) error {
-	if len(datasets) == 0 || len(algos) == 0 || len(configs) == 0 {
-		return fmt.Errorf("hyve-sim: -dataset, -algo, and -config must each name at least one value")
+// The sweep is validated first — -result needs core configurations, the
+// report modes also run the analytic baselines — so an invalid spec
+// fails before any point runs. One point streams straight to w; a sweep
+// fans its points across the worker pool and emits each in order as
+// soon as every point before it has finished, closing with an
+// aggregate-vs-wall-clock speedup line on progress (stderr in the
+// binary) so w stays pipeable — in particular, -json output on w is a
+// clean concatenation of JSON documents.
+func runSweep(w, progress io.Writer, sw point.Sweep, verbose bool, mode outputMode, par int) error {
+	validate := sw.ValidateWithBaselines
+	if mode == modeResult {
+		validate = sw.Validate
 	}
-	n := len(datasets) * len(algos) * len(configs)
+	if err := validate(); err != nil {
+		return err
+	}
+	n := sw.Len()
 	if n == 1 {
-		return runOne(w, datasets[0], algos[0], configs[0], sramMB, verbose, mode)
-	}
-
-	point := func(i int) (dataset, algon, config string) {
-		perDataset := len(algos) * len(configs)
-		return datasets[i/perDataset], algos[i/len(configs)%len(algos)], configs[i%len(configs)]
+		return runOne(w, sw.At(0), verbose, mode)
 	}
 
 	start := time.Now()
@@ -128,32 +129,32 @@ func runSweep(w, progress io.Writer, datasets, algos, configs []string, sramMB i
 	if par < 0 {
 		workers = 1
 	}
-	err := parallel.ForEach(workers, n, func(i int) error {
-		d, a, c := point(i)
-		t0 := time.Now()
-		if err := runOne(&bufs[i], d, a, c, sramMB, verbose, mode); err != nil {
-			return fmt.Errorf("%s/%s/%s: %w", d, a, c, err)
-		}
-		elapsed[i] = time.Since(t0)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-
 	var aggregate time.Duration
-	for i := 0; i < n; i++ {
-		d, a, c := point(i)
+	err := parallel.ForEachOrdered(context.Background(), workers, n, func(i int) error {
+		t0 := time.Now()
+		err := runOne(&bufs[i], sw.At(i), verbose, mode)
+		elapsed[i] = time.Since(t0)
+		return err
+	}, func(i int, err error) error {
+		p := sw.At(i)
+		if err != nil {
+			return fmt.Errorf("%s/%s/%s: %w", p.Dataset, p.Algo, p.Config, err)
+		}
 		if mode == modeText {
 			if i > 0 {
 				fmt.Fprintln(w)
 			}
-			fmt.Fprintf(w, "--- %s %s %s ---\n", d, a, c)
+			fmt.Fprintf(w, "--- %s %s %s ---\n", p.Dataset, p.Algo, p.Config)
 		}
 		if _, err := w.Write(bufs[i].Bytes()); err != nil {
 			return err
 		}
+		bufs[i] = bytes.Buffer{}
 		aggregate += elapsed[i]
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	wall := time.Since(start)
 	_, err = fmt.Fprintf(progress, "\n%d points: wall clock %v for %v of simulation time, %d workers (%.2fx speedup)\n",
@@ -162,16 +163,13 @@ func runSweep(w, progress io.Writer, datasets, algos, configs []string, sramMB i
 	return err
 }
 
-func runOne(w io.Writer, dataset, algon, config string, sramMB int64, verbose bool, mode outputMode) error {
-	d, err := graph.DatasetByName(dataset)
+// runOne runs one validated point and writes what mode asks for.
+func runOne(w io.Writer, p point.Spec, verbose bool, mode outputMode) error {
+	d, err := graph.DatasetByName(p.Dataset)
 	if err != nil {
 		return err
 	}
-	p, err := algo.ByName(algon)
-	if err != nil {
-		return err
-	}
-	wl, err := core.WorkloadFor(d, p)
+	wl, err := p.Workload()
 	if err != nil {
 		return err
 	}
@@ -182,11 +180,8 @@ func runOne(w io.Writer, dataset, algon, config string, sramMB int64, verbose bo
 
 	var rep *energy.Report
 	var detail *core.Detail
-	switch config {
+	switch p.Config {
 	case "graphr":
-		if mode == modeResult {
-			return fmt.Errorf("hyve-sim: -result needs a core configuration; %q has no canonical result document", config)
-		}
 		r, err := graphr.Simulate(graphr.Default(), wl)
 		if err != nil {
 			return err
@@ -196,26 +191,17 @@ func runOne(w io.Writer, dataset, algon, config string, sramMB int64, verbose bo
 			fmt.Fprintf(w, "GraphR: %d non-empty 8×8 blocks, Navg %.2f\n", r.Detail.NonEmptyBlocks, r.Detail.Navg)
 		}
 	case "cpu":
-		if mode == modeResult {
-			return fmt.Errorf("hyve-sim: -result needs a core configuration; %q has no canonical result document", config)
-		}
 		if rep, err = cpusim.Simulate(cpusim.NXgraph(), wl); err != nil {
 			return err
 		}
 	case "cpu-opt":
-		if mode == modeResult {
-			return fmt.Errorf("hyve-sim: -result needs a core configuration; %q has no canonical result document", config)
-		}
 		if rep, err = cpusim.Simulate(cpusim.Galois(), wl); err != nil {
 			return err
 		}
 	default:
-		cfg, err := accConfig(config)
+		cfg, err := p.CoreConfig()
 		if err != nil {
 			return err
-		}
-		if cfg.UseOnChipSRAM {
-			cfg.SRAMBytes = sramMB << 20
 		}
 		r, err := core.Simulate(cfg, wl)
 		if err != nil {
@@ -237,7 +223,7 @@ func runOne(w io.Writer, dataset, algon, config string, sramMB int64, verbose bo
 	}
 
 	if mode == modeArtifact {
-		return writeJSONPoint(w, d, config, rep, detail)
+		return writeJSONPoint(w, d, p.Config, rep, detail)
 	}
 
 	fmt.Fprintf(w, "config:      %s\n", rep.Config)
@@ -300,20 +286,4 @@ func writeJSONPoint(w io.Writer, d graph.Dataset, config string, rep *energy.Rep
 		}
 	}
 	return art.EncodeJSON(w)
-}
-
-func accConfig(name string) (core.Config, error) {
-	switch name {
-	case "hyve":
-		return core.HyVE(), nil
-	case "hyve-opt":
-		return core.HyVEOpt(), nil
-	case "sd":
-		return core.SRAMDRAM(), nil
-	case "dram":
-		return core.AccDRAM(), nil
-	case "reram":
-		return core.AccReRAM(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown config %q (want hyve, hyve-opt, sd, dram, reram, graphr, cpu, cpu-opt)", name)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,39 +11,17 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/point"
 )
 
-func TestAccConfig(t *testing.T) {
-	for _, name := range []string{"hyve", "hyve-opt", "sd", "dram", "reram"} {
-		cfg, err := accConfig(name)
-		if err != nil {
-			t.Errorf("accConfig(%s): %v", name, err)
-			continue
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("accConfig(%s) invalid: %v", name, err)
-		}
-	}
-	if _, err := accConfig("nope"); err == nil {
-		t.Error("unknown config accepted")
-	}
+// spec is shorthand for a point at the default SRAM size.
+func spec(dataset, algon, config string) point.Spec {
+	return point.Spec{Dataset: dataset, Algo: algon, Config: config}
 }
 
-func TestSplitList(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want []string
-	}{
-		{"YT", []string{"YT"}},
-		{"YT,WK,LJ", []string{"YT", "WK", "LJ"}},
-		{"YT, WK", []string{"YT", "WK"}},
-		{"YT,", []string{"YT"}},
-		{"", nil},
-	} {
-		if got := splitList(tc.in); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("splitList(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
+// sweep is shorthand for a sweep at the 2 MB the -sram flag defaults to.
+func sweep(datasets, algos, configs []string) point.Sweep {
+	return point.Sweep{Datasets: datasets, Algos: algos, Configs: configs, SRAMMB: 2}
 }
 
 func TestRunOneSmokesEveryConfig(t *testing.T) {
@@ -52,14 +29,14 @@ func TestRunOneSmokesEveryConfig(t *testing.T) {
 		t.Skip("simulation smoke test")
 	}
 	for _, config := range []string{"hyve-opt", "sd", "graphr", "cpu", "cpu-opt"} {
-		if err := runOne(io.Discard, "YT", "PR", config, 2, true, modeText); err != nil {
+		if err := runOne(io.Discard, spec("YT", "PR", config), true, modeText); err != nil {
 			t.Errorf("runOne(YT, PR, %s): %v", config, err)
 		}
 	}
-	if err := runOne(io.Discard, "nope", "PR", "hyve", 2, false, modeText); err == nil {
+	if err := runSweep(io.Discard, io.Discard, sweep([]string{"nope"}, []string{"PR"}, []string{"hyve"}), false, modeText, 0); err == nil {
 		t.Error("unknown dataset accepted")
 	}
-	if err := runOne(io.Discard, "YT", "nope", "hyve", 2, false, modeText); err == nil {
+	if err := runSweep(io.Discard, io.Discard, sweep([]string{"YT"}, []string{"nope"}, []string{"hyve"}), false, modeText, 0); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -72,7 +49,7 @@ func TestRunOneJSON(t *testing.T) {
 	}
 	for _, config := range []string{"hyve-opt", "graphr"} {
 		var buf bytes.Buffer
-		if err := runOne(&buf, "YT", "PR", config, 2, false, modeArtifact); err != nil {
+		if err := runOne(&buf, spec("YT", "PR", config), false, modeArtifact); err != nil {
 			t.Fatalf("runOne(YT, PR, %s, json): %v", config, err)
 		}
 		var doc struct {
@@ -109,7 +86,7 @@ func TestRunOneResult(t *testing.T) {
 		t.Skip("simulation smoke test")
 	}
 	var buf bytes.Buffer
-	if err := runOne(&buf, "YT", "PR", "sd", 2, false, modeResult); err != nil {
+	if err := runOne(&buf, spec("YT", "PR", "sd"), false, modeResult); err != nil {
 		t.Fatalf("runOne(YT, PR, sd, result): %v", err)
 	}
 	d, err := graph.DatasetByName("YT")
@@ -138,7 +115,7 @@ func TestRunOneResult(t *testing.T) {
 	if _, err := cache.DecodeResult(buf.Bytes()); err != nil {
 		t.Errorf("-result output does not decode: %v", err)
 	}
-	if err := runOne(io.Discard, "YT", "PR", "graphr", 2, false, modeResult); err == nil {
+	if err := runSweep(io.Discard, io.Discard, sweep([]string{"YT"}, []string{"PR"}, []string{"graphr"}), false, modeResult, 0); err == nil {
 		t.Error("-result accepted a baseline config with no canonical document")
 	}
 }
@@ -154,10 +131,10 @@ func TestRunSweepDeterministic(t *testing.T) {
 	algos := []string{"PR", "BFS"}
 	configs := []string{"hyve-opt", "sd"}
 	var serial, par, serialProg, parProg bytes.Buffer
-	if err := runSweep(&serial, &serialProg, datasets, algos, configs, 2, false, modeText, -1); err != nil {
+	if err := runSweep(&serial, &serialProg, sweep(datasets, algos, configs), false, modeText, -1); err != nil {
 		t.Fatalf("serial sweep: %v", err)
 	}
-	if err := runSweep(&par, &parProg, datasets, algos, configs, 2, false, modeText, 8); err != nil {
+	if err := runSweep(&par, &parProg, sweep(datasets, algos, configs), false, modeText, 8); err != nil {
 		t.Fatalf("parallel sweep: %v", err)
 	}
 	// With the summary line routed to the progress writer, stdout must be
@@ -196,17 +173,17 @@ func TestRunSweepSinglePointUnchanged(t *testing.T) {
 		t.Skip("simulation smoke test")
 	}
 	var single, direct bytes.Buffer
-	if err := runSweep(&single, io.Discard, []string{"YT"}, []string{"PR"}, []string{"hyve-opt"}, 2, false, modeText, 8); err != nil {
+	if err := runSweep(&single, io.Discard, sweep([]string{"YT"}, []string{"PR"}, []string{"hyve-opt"}), false, modeText, 8); err != nil {
 		t.Fatalf("single-point sweep: %v", err)
 	}
-	if err := runOne(&direct, "YT", "PR", "hyve-opt", 2, false, modeText); err != nil {
+	if err := runOne(&direct, spec("YT", "PR", "hyve-opt"), false, modeText); err != nil {
 		t.Fatalf("runOne: %v", err)
 	}
 	if single.String() != direct.String() {
 		t.Errorf("single-point sweep output differs from direct runOne:\n--- sweep ---\n%s\n--- direct ---\n%s",
 			single.String(), direct.String())
 	}
-	if err := runSweep(io.Discard, io.Discard, nil, []string{"PR"}, []string{"hyve"}, 2, false, modeText, 0); err == nil {
+	if err := runSweep(io.Discard, io.Discard, sweep(nil, []string{"PR"}, []string{"hyve"}), false, modeText, 0); err == nil {
 		t.Error("empty dataset list accepted")
 	}
 }

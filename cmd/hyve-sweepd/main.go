@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -40,6 +39,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/cluster/jobs"
 	"repro/internal/graph"
+	"repro/internal/point"
 	"repro/internal/serve"
 )
 
@@ -55,7 +55,7 @@ func run(args []string) int {
 		dataset     = fs.String("dataset", "YT", "datasets to sweep (comma-separated)")
 		algon       = fs.String("algo", "PR", "algorithms to sweep (comma-separated)")
 		config      = fs.String("config", "hyve-opt", "configurations to sweep (comma-separated; core configs only)")
-		sramMB      = fs.Int64("sram", 2, "per-PU on-chip vertex memory in MB (accelerator configs)")
+		sramMB      = fs.Int64("sram", 2, "per-PU on-chip vertex memory in MB for configs with on-chip SRAM (0 = the preset default, 2 MB)")
 		out         = fs.String("out", "", "write the merged artifact here (atomic rename); empty = stdout")
 		shardSize   = fs.Int("shard", cluster.DefaultShardSize, "points per lease")
 		leaseTTL    = fs.Duration("lease-ttl", cluster.DefaultLeaseTTL, "lease lifetime without a heartbeat or merged result")
@@ -93,7 +93,7 @@ func run(args []string) int {
 		defer serve.ShutdownServer(srv, 5*time.Second)
 	}
 
-	spec, err := jobs.NewSimSpec(splitList(*dataset), splitList(*algon), splitList(*config), *sramMB)
+	spec, err := jobs.NewSimSpec(point.SplitList(*dataset), point.SplitList(*algon), point.SplitList(*config), *sramMB)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hyve-sweepd:", err)
 		return 2
@@ -197,15 +197,4 @@ func lingerFor(d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)
 	}
-}
-
-// splitList parses a comma-separated flag value, dropping empty items.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -21,9 +21,8 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/algo"
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/point"
 )
 
 func main() {
@@ -42,28 +41,17 @@ func main() {
 }
 
 func run(w io.Writer, dataset, algon, config, format string, limit int64) error {
-	d, err := graph.DatasetByName(dataset)
+	spec := point.Spec{Dataset: dataset, Algo: algon, Config: config}
+	cfg, err := spec.CoreConfig()
 	if err != nil {
 		return err
 	}
-	prog, err := algo.ByName(algon)
+	if !cfg.UseOnChipSRAM {
+		return fmt.Errorf("config %q has no on-chip vertex memory (tracing needs the on-chip hierarchy: hyve, hyve-opt, sd)", config)
+	}
+	wl, err := spec.Workload()
 	if err != nil {
 		return err
-	}
-	wl, err := core.WorkloadFor(d, prog)
-	if err != nil {
-		return err
-	}
-	var cfg core.Config
-	switch config {
-	case "hyve":
-		cfg = core.HyVE()
-	case "hyve-opt":
-		cfg = core.HyVEOpt()
-	case "sd":
-		cfg = core.SRAMDRAM()
-	default:
-		return fmt.Errorf("unknown config %q (tracing needs the on-chip hierarchy: hyve, hyve-opt, sd)", config)
 	}
 
 	switch format {

@@ -18,27 +18,17 @@ import (
 	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/graph"
-
-	"repro/internal/algo"
+	"repro/internal/point"
 )
 
-// Spec is the wire envelope for a distributable sweep.
+// Spec is the wire envelope for a distributable sweep. A simulation
+// sweep is the same dataset-major cross product hyve-sim runs, point i
+// being Sim.At(i).
 type Spec struct {
-	Kind  string     `json:"kind"` // "sim" or "check"
-	Sim   *SimSpec   `json:"sim,omitempty"`
-	Check *CheckSpec `json:"check,omitempty"`
-}
-
-// SimSpec describes a simulation sweep: the same dataset-major cross
-// product hyve-sim runs, point i mapping to
-// (datasets[i/(A·C)], algos[(i/C)%A], configs[i%C]).
-type SimSpec struct {
-	Datasets []string `json:"datasets"`
-	Algos    []string `json:"algos"`
-	Configs  []string `json:"configs"`
-	SRAMMB   int64    `json:"sram_mb"`
+	Kind  string       `json:"kind"` // "sim" or "check"
+	Sim   *point.Sweep `json:"sim,omitempty"`
+	Check *CheckSpec   `json:"check,omitempty"`
 }
 
 // CheckSpec describes a conformance sweep: seeds Seed … Seed+Points-1.
@@ -60,31 +50,16 @@ type ExecOptions struct {
 	PrepDir string
 }
 
-// NewSimSpec encodes a simulation sweep spec, validating that every
-// named dataset, algorithm, and configuration resolves — a coordinator
-// should refuse an impossible sweep before leasing anything.
+// NewSimSpec encodes a simulation sweep spec after point.Sweep.Validate
+// — every name resolves to a core point and the SRAM size obeys the
+// rule — so a coordinator refuses an impossible sweep before leasing
+// anything.
 func NewSimSpec(datasets, algos, configs []string, sramMB int64) ([]byte, error) {
-	if len(datasets) == 0 || len(algos) == 0 || len(configs) == 0 {
-		return nil, errors.New("jobs: a sim sweep needs at least one dataset, algorithm, and configuration")
+	sw := point.Sweep{Datasets: datasets, Algos: algos, Configs: configs, SRAMMB: sramMB}
+	if err := sw.Validate(); err != nil {
+		return nil, err
 	}
-	for _, d := range datasets {
-		if _, err := graph.DatasetByName(d); err != nil {
-			return nil, err
-		}
-	}
-	for _, a := range algos {
-		if _, err := algo.ByName(a); err != nil {
-			return nil, err
-		}
-	}
-	for _, c := range configs {
-		if _, err := coreConfig(c); err != nil {
-			return nil, err
-		}
-	}
-	return encodeSpec(Spec{Kind: "sim", Sim: &SimSpec{
-		Datasets: datasets, Algos: algos, Configs: configs, SRAMMB: sramMB,
-	}})
+	return encodeSpec(Spec{Kind: "sim", Sim: &sw})
 }
 
 // NewCheckSpec encodes a conformance sweep spec.
@@ -107,7 +82,9 @@ func encodeSpec(s Spec) ([]byte, error) {
 
 // Decode builds the Job a spec describes. Both sides of the wire call
 // it: workers through Factory, coordinators directly (for Validate and
-// local degradation).
+// local degradation). A sim spec passes the same point.Sweep.Validate
+// as NewSimSpec, so a spec read off the socket is checked as strictly
+// as one built locally.
 func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 	dec := json.NewDecoder(bytes.NewReader(spec))
 	dec.DisallowUnknownFields()
@@ -127,10 +104,10 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 		if s.Sim == nil {
 			return nil, errors.New("jobs: sim spec missing sim body")
 		}
-		if len(s.Sim.Datasets) == 0 || len(s.Sim.Algos) == 0 || len(s.Sim.Configs) == 0 {
-			return nil, errors.New("jobs: sim spec names no points")
+		if err := s.Sim.Validate(); err != nil {
+			return nil, err
 		}
-		return &simJob{spec: *s.Sim, sched: sched}, nil
+		return &simJob{sweep: *s.Sim, sched: sched}, nil
 	case "check":
 		if s.Check == nil {
 			return nil, errors.New("jobs: check spec missing check body")
@@ -149,71 +126,26 @@ func Factory(opt ExecOptions) cluster.JobFactory {
 	return func(spec []byte) (cluster.Job, error) { return Decode(spec, opt) }
 }
 
-// coreConfig resolves a sweep configuration name. Only the five core
-// configurations exist here: the analytic graphr/cpu baselines have no
-// canonical result document, so they cannot ride a distributed sweep
-// (exactly the hyve-sim -result rule).
-func coreConfig(name string) (core.Config, error) {
-	switch name {
-	case "hyve":
-		return core.HyVE(), nil
-	case "hyve-opt":
-		return core.HyVEOpt(), nil
-	case "sd":
-		return core.SRAMDRAM(), nil
-	case "dram":
-		return core.AccDRAM(), nil
-	case "reram":
-		return core.AccReRAM(), nil
-	}
-	return core.Config{}, fmt.Errorf("jobs: unknown config %q (a distributed sweep covers hyve, hyve-opt, sd, dram, reram)", name)
-}
-
 // simJob executes simulation points through the shared scheduler and
 // returns canonical hyve/result/v1 documents.
 type simJob struct {
-	spec  SimSpec
+	sweep point.Sweep
 	sched *cache.Scheduler
 }
 
 // Points implements cluster.Job.
-func (j *simJob) Points() int {
-	return len(j.spec.Datasets) * len(j.spec.Algos) * len(j.spec.Configs)
-}
-
-// pointAt maps a sweep index dataset-major, exactly as hyve-sim does —
-// the merged artifact's order is hyve-sim's output order.
-func (j *simJob) pointAt(i int) (dataset, algon, config string) {
-	perDataset := len(j.spec.Algos) * len(j.spec.Configs)
-	return j.spec.Datasets[i/perDataset],
-		j.spec.Algos[i/len(j.spec.Configs)%len(j.spec.Algos)],
-		j.spec.Configs[i%len(j.spec.Configs)]
-}
+func (j *simJob) Points() int { return j.sweep.Len() }
 
 // Execute implements cluster.Job.
 func (j *simJob) Execute(ctx context.Context, i int) ([]byte, error) {
 	if i < 0 || i >= j.Points() {
 		return nil, fmt.Errorf("jobs: sim point %d outside sweep of %d", i, j.Points())
 	}
-	dn, an, cn := j.pointAt(i)
-	d, err := graph.DatasetByName(dn)
+	// Sweep.At maps the index exactly as hyve-sim does, so the merged
+	// artifact's order is hyve-sim's output order.
+	cfg, wl, err := j.sweep.At(i).Resolve()
 	if err != nil {
 		return nil, err
-	}
-	p, err := algo.ByName(an)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := core.WorkloadFor(d, p)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := coreConfig(cn)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.UseOnChipSRAM {
-		cfg.SRAMBytes = j.spec.SRAMMB << 20
 	}
 	r, err := j.sched.SimulateCtx(ctx, cfg, wl)
 	if err != nil {

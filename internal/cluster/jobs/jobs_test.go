@@ -271,4 +271,34 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := Decode([]byte(`{"kind":"sim","sim":{"datasets":["YT"],"algos":["PR"],"configs":["hyve"],"sram_mb":2},"extra":1}`), ExecOptions{}); err == nil {
 		t.Fatal("unknown spec field decoded")
 	}
+
+	// SRAM 0 is the preset default, so a sweep mixing on-chip and
+	// SRAM-less configurations is valid at every door.
+	spec, err := NewSimSpec([]string{"YT"}, []string{"PR"}, []string{"hyve-opt", "dram"}, 0)
+	if err != nil {
+		t.Fatalf("SRAM 0 refused: %v", err)
+	}
+	if _, err := Decode(spec, ExecOptions{}); err != nil {
+		t.Fatalf("SRAM 0 spec does not decode: %v", err)
+	}
+	// A negative or overflowing SRAM size is refused when the spec is
+	// built, and Decode refuses the same sweep read off the socket.
+	for _, sram := range []int64{-5, 1 << 43} {
+		if _, err := NewSimSpec([]string{"YT"}, []string{"PR"}, []string{"hyve-opt", "dram"}, sram); err == nil {
+			t.Errorf("SRAM %d MB accepted by NewSimSpec", sram)
+		}
+		raw := fmt.Sprintf(`{"kind":"sim","sim":{"datasets":["YT"],"algos":["PR"],"configs":["hyve-opt","dram"],"sram_mb":%d}}`, sram)
+		if _, err := Decode([]byte(raw), ExecOptions{}); err == nil {
+			t.Errorf("SRAM %d MB accepted by Decode", sram)
+		}
+	}
+	for _, raw := range []string{
+		`{"kind":"sim","sim":{"datasets":["YT"],"algos":["PR"],"configs":["graphr"],"sram_mb":2}}`,
+		`{"kind":"sim","sim":{"datasets":["NOPE"],"algos":["PR"],"configs":["hyve"],"sram_mb":2}}`,
+		`{"kind":"sim","sim":{"datasets":["YT"],"algos":[],"configs":["hyve"],"sram_mb":2}}`,
+	} {
+		if _, err := Decode([]byte(raw), ExecOptions{}); err == nil {
+			t.Errorf("invalid sweep decoded: %s", raw)
+		}
+	}
 }

@@ -1,8 +1,9 @@
 // Package parallel provides the bounded worker pool behind the
 // experiment sweep engine. Every consumer follows the same discipline:
 // independent points are identified by a dense index, workers compute
-// each point into caller-owned index-addressed storage, and the caller
-// emits results in index order after ForEach returns — so output is
+// each point into caller-owned index-addressed storage, and results are
+// emitted in index order — by the caller after ForEach returns, or by
+// ForEachOrdered as each prefix of points completes — so output is
 // byte-identical at any worker count and the only shared state is the
 // result slice, which is written at disjoint indices.
 //
@@ -72,10 +73,10 @@ type Options struct {
 // point would report, regardless of schedule. fn must confine its
 // writes to index i's slot of the caller's result storage.
 //
-// With one worker (or n <= 1) the points run inline on the calling
-// goroutine, short-circuiting at the first error exactly like the
-// pre-pool sequential loops; because later points are independent of
-// earlier ones, the reported error is identical either way.
+// With one worker the points run one at a time in index order,
+// short-circuiting at the first error exactly like the pre-pool
+// sequential loops; because later points are independent of earlier
+// ones, the reported error is identical either way.
 //
 // A panic inside fn does not escape: it is recovered into a
 // *PanicError for that index (see ForEachOpt for the policy knobs).
@@ -108,8 +109,77 @@ func ForEachOpt(workers, n int, opt Options, fn func(i int) error) error {
 // stops a sweep at the next point boundary without corrupting any
 // in-flight computation.
 func ForEachCtx(ctx context.Context, workers, n int, opt Options, fn func(i int) error) error {
+	var (
+		mu       sync.Mutex
+		firstIdx = n
+		firstErr error
+	)
+	serial := Workers(workers) <= 1 // a sequential loop stops at its first error
+	cancelled := run(ctx, workers, n, opt, fn, func(i int, err error) bool {
+		if err == nil {
+			return false
+		}
+		mu.Lock()
+		if i < firstIdx {
+			firstIdx, firstErr = i, err
+		}
+		mu.Unlock()
+		return serial
+	})
+	if firstErr != nil {
+		return firstErr
+	}
+	if cancelled {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// ForEachOrdered runs fn(i) for every i in [0, n) on the pool, as
+// ForEachCtx does, and calls emit(i, err) on the calling goroutine in
+// index order as soon as point i and every point before it have
+// finished; err is the point's own error, a recovered panic included.
+// A non-nil error from emit, or a cancelled ctx (as ctx.Err()), stops
+// dispatch and emission and is returned once the points in flight
+// have finished.
+func ForEachOrdered(ctx context.Context, workers, n int, fn func(i int) error, emit func(i int, err error) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, n)
+	done := make([]chan struct{}, n)
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	pool := make(chan struct{})
+	go func() {
+		defer close(pool)
+		run(ctx, workers, n, Options{}, fn, func(i int, err error) bool {
+			errs[i] = err
+			close(done[i])
+			return false
+		})
+	}()
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		select {
+		case <-done[i]:
+			err = emit(i, errs[i])
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+	}
+	cancel()
+	<-pool
+	return err
+}
+
+// run is the pool behind ForEachCtx and ForEachOrdered: it hands each
+// point's final error (after retries and panic recovery) to settle, and
+// dispatches nothing more once ctx is done or settle returns true. It
+// reports whether ctx stopped a dispatch.
+func run(ctx context.Context, workers, n int, opt Options, fn func(i int) error, settle func(i int, err error) (stop bool)) bool {
 	if n <= 0 {
-		return nil
+		return false
 	}
 	w := Workers(workers)
 	if w > n {
@@ -161,31 +231,10 @@ func ForEachCtx(ctx context.Context, workers, n int, opt Options, fn func(i int)
 		rec.Gauge(obs.WithLabel("parallel.worker.utilization", "worker", strconv.Itoa(k)),
 			busy.Seconds()/wall.Seconds())
 	}
-	if w <= 1 {
-		var busy time.Duration
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				utilization(0, busy)
-				return err
-			}
-			t0 := time.Now()
-			err := point(i)
-			busy += time.Since(t0)
-			if err != nil {
-				utilization(0, busy)
-				return err
-			}
-		}
-		utilization(0, busy)
-		return nil
-	}
-
 	var (
 		next      atomic.Int64
 		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstIdx  = n
-		firstErr  error
+		stopped   atomic.Bool
 		cancelled atomic.Bool
 	)
 	for k := 0; k < w; k++ {
@@ -194,7 +243,7 @@ func ForEachCtx(ctx context.Context, workers, n int, opt Options, fn func(i int)
 			defer wg.Done()
 			var busy time.Duration
 			defer func() { utilization(k, busy) }()
-			for {
+			for !stopped.Load() {
 				// The cancellation check guards the claim, not the
 				// execution: a point that was claimed runs to the end.
 				if ctx.Err() != nil {
@@ -208,22 +257,12 @@ func ForEachCtx(ctx context.Context, workers, n int, opt Options, fn func(i int)
 				t0 := time.Now()
 				err := point(i)
 				busy += time.Since(t0)
-				if err != nil {
-					mu.Lock()
-					if i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					mu.Unlock()
+				if settle(i, err) {
+					stopped.Store(true)
 				}
 			}
 		}(k)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if cancelled.Load() {
-		return ctx.Err()
-	}
-	return nil
+	return cancelled.Load()
 }

@@ -285,3 +285,118 @@ func TestForEachCtxPointErrorWinsOverCancel(t *testing.T) {
 		t.Fatalf("got %v, want the point error", err)
 	}
 }
+
+// TestForEachOrderedEmitsInIndexOrder: at any worker count every point
+// is emitted exactly once, in index order, with its own error — a
+// failing or panicking point does not end the sweep — and emission
+// streams before the slowest point finishes.
+func TestForEachOrderedEmitsInIndexOrder(t *testing.T) {
+	const n = 40
+	for _, workers := range []int{1, 3, 8} {
+		release := make(chan struct{})
+		var emitted []int
+		err := ForEachOrdered(context.Background(), workers, n, func(i int) error {
+			switch i {
+			case n - 1:
+				<-release // held until index 0 has been emitted
+			case 5:
+				return errors.New("point 5 failed")
+			case 9:
+				panic("point 9 panicked")
+			}
+			return nil
+		}, func(i int, err error) error {
+			if i == 0 {
+				close(release)
+			}
+			var pe *PanicError
+			switch {
+			case i == 5 && (err == nil || err.Error() != "point 5 failed"):
+				t.Errorf("workers=%d: point 5 emitted with %v", workers, err)
+			case i == 9 && !errors.As(err, &pe):
+				t.Errorf("workers=%d: point 9 emitted with %v, want *PanicError", workers, err)
+			case i != 5 && i != 9 && err != nil:
+				t.Errorf("workers=%d: point %d emitted with %v", workers, i, err)
+			}
+			emitted = append(emitted, i)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, got := range emitted {
+			if got != i {
+				t.Fatalf("workers=%d: emission order %v", workers, emitted)
+			}
+		}
+		if len(emitted) != n {
+			t.Fatalf("workers=%d: emitted %d of %d points", workers, len(emitted), n)
+		}
+	}
+}
+
+// TestForEachOrderedStopsOnEmitError: an emit error stops emission and
+// is returned after in-flight points finish.
+func TestForEachOrderedStopsOnEmitError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var inflight atomic.Int64
+		var emitted []int
+		stop := errors.New("stop")
+		err := ForEachOrdered(context.Background(), workers, 1000, func(i int) error {
+			inflight.Add(1)
+			defer inflight.Add(-1)
+			return nil
+		}, func(i int, err error) error {
+			emitted = append(emitted, i)
+			if i == 3 {
+				return stop
+			}
+			return nil
+		})
+		if err != stop {
+			t.Fatalf("workers=%d: got %v, want the emit error", workers, err)
+		}
+		if len(emitted) != 4 {
+			t.Errorf("workers=%d: emitted %v after the stop", workers, emitted)
+		}
+		if inflight.Load() != 0 {
+			t.Errorf("workers=%d: returned with %d points still running", workers, inflight.Load())
+		}
+	}
+}
+
+// TestForEachOrderedCancel: a cancelled context ends emission at the
+// first unfinished index and returns ctx.Err() once in-flight points
+// finish.
+func TestForEachOrderedCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var inflight atomic.Int64
+	var emitted []int
+	err := ForEachOrdered(ctx, 2, 100, func(i int) error {
+		inflight.Add(1)
+		defer inflight.Add(-1)
+		if i == 2 {
+			cancel()
+		}
+		if i >= 2 {
+			<-ctx.Done()
+		}
+		return nil
+	}, func(i int, err error) error {
+		emitted = append(emitted, i)
+		return nil
+	})
+	if err != context.Canceled {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if inflight.Load() != 0 {
+		t.Errorf("returned with %d points still running", inflight.Load())
+	}
+	// Only the points in flight at cancellation can have finished.
+	for i, got := range emitted {
+		if got != i || got > 4 {
+			t.Fatalf("emission after cancel: %v", emitted)
+		}
+	}
+}

@@ -33,17 +33,18 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
+	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/point"
 )
 
 // Metric names the service reports through the process-global Recorder
@@ -289,69 +290,7 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 	return context.WithTimeout(r.Context(), d)
 }
 
-// --- point resolution ----------------------------------------------------
-
-// accConfigByName maps a wire config name to an accelerator Config.
-// The service simulates the five core configurations; the analytic
-// CPU/GraphR baselines have no core.Result and are not served.
-func accConfigByName(name string) (core.Config, error) {
-	switch name {
-	case "hyve":
-		return core.HyVE(), nil
-	case "hyve-opt":
-		return core.HyVEOpt(), nil
-	case "sd":
-		return core.SRAMDRAM(), nil
-	case "dram":
-		return core.AccDRAM(), nil
-	case "reram":
-		return core.AccReRAM(), nil
-	}
-	return core.Config{}, fmt.Errorf("unknown config %q (want hyve, hyve-opt, sd, dram, reram)", name)
-}
-
-// pointSpec is one validated (dataset, algorithm, config) coordinate;
-// the workload is assembled lazily at execution time, inside the
-// bounded slot pool.
-type pointSpec struct {
-	dataset graph.Dataset
-	program algo.Program
-	cfgName string
-	sramMB  int64
-}
-
-func resolveSpec(dataset, algon, config string, sramMB int64) (pointSpec, error) {
-	d, err := graph.DatasetByName(dataset)
-	if err != nil {
-		return pointSpec{}, err
-	}
-	p, err := algo.ByName(algon)
-	if err != nil {
-		return pointSpec{}, err
-	}
-	if _, err := accConfigByName(config); err != nil {
-		return pointSpec{}, err
-	}
-	return pointSpec{dataset: d, program: p, cfgName: config, sramMB: sramMB}, nil
-}
-
-// assemble builds the executable (Config, Workload) pair for a spec —
-// identical to what a direct `hyve-sim -dataset -algo -config -sram`
-// invocation builds, which is what makes the wire bytes comparable.
-func (p pointSpec) assemble() (core.Config, core.Workload, error) {
-	cfg, err := accConfigByName(p.cfgName)
-	if err != nil {
-		return core.Config{}, core.Workload{}, err
-	}
-	if cfg.UseOnChipSRAM && p.sramMB > 0 {
-		cfg.SRAMBytes = p.sramMB << 20
-	}
-	w, err := core.WorkloadFor(p.dataset, p.program)
-	if err != nil {
-		return core.Config{}, core.Workload{}, err
-	}
-	return cfg, w, nil
-}
+// --- execution -------------------------------------------------------------
 
 // errBreakerOpen marks a rejection by an open circuit breaker.
 type errBreakerOpen struct {
@@ -364,14 +303,21 @@ func (e errBreakerOpen) Error() string {
 }
 
 // execPoint runs one spec under the breaker and the global slot pool
-// and returns the result and its content digest.
-func (s *Server) execPoint(ctx context.Context, spec pointSpec) (*core.Result, string, error) {
+// and returns the result and its content digest. Handlers validate the
+// whole request with point.Sweep.Validate before admission, so an
+// invalid spec never counts against a breaker; the workload is
+// assembled inside the slot, so dataset loads share the pool's bound.
+func (s *Server) execPoint(ctx context.Context, spec point.Spec) (*core.Result, string, error) {
 	rec := obs.Default()
-	br := s.breakers.get(spec.dataset.Name)
+	d, err := graph.DatasetByName(spec.Dataset)
+	if err != nil {
+		return nil, "", err
+	}
+	br := s.breakers.get(d.Name)
 	allowed, retryAfter := br.Allow()
 	if !allowed {
 		rec.Count(MetricBreakerRejected, 1)
-		return nil, "", errBreakerOpen{dataset: spec.dataset.Name, retryAfter: retryAfter}
+		return nil, "", errBreakerOpen{dataset: d.Name, retryAfter: retryAfter}
 	}
 	outcome := func(err error) {
 		// Client cancellation says nothing about the backend's health;
@@ -393,7 +339,7 @@ func (s *Server) execPoint(ctx context.Context, spec pointSpec) (*core.Result, s
 	}
 	defer func() { <-s.sem }()
 
-	cfg, w, err := spec.assemble()
+	cfg, w, err := spec.Resolve()
 	if err != nil {
 		outcome(err)
 		return nil, "", err
@@ -435,7 +381,8 @@ type PointRequest struct {
 	Algo    string `json:"algo"`
 	Config  string `json:"config"`
 	// SRAMMB overrides the per-PU on-chip vertex memory (MB) for
-	// configurations that have one; 0 keeps the configuration default.
+	// configurations that have one; 0 keeps the preset default and a
+	// negative or overflowing size is rejected with 400.
 	SRAMMB int64 `json:"sram_mb,omitempty"`
 	// TimeoutMS shortens the server's per-request deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -445,11 +392,17 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	runID := s.ids.NextString()
 	w.Header().Set("X-Hyve-Run-Id", runID)
 	var req PointRequest
-	if !decodeRequest(w, r, runID, &req) {
+	if !decodeRequest(w, r, runID, &req, func(q url.Values) error {
+		req.Dataset, req.Algo, req.Config = q.Get("dataset"), q.Get("algo"), q.Get("config")
+		return queryInts(q, &req.SRAMMB, &req.TimeoutMS)
+	}) {
 		return
 	}
-	spec, err := resolveSpec(req.Dataset, req.Algo, req.Config, req.SRAMMB)
-	if err != nil {
+	sw := point.Sweep{
+		Datasets: []string{req.Dataset}, Algos: []string{req.Algo}, Configs: []string{req.Config},
+		SRAMMB: req.SRAMMB,
+	}
+	if err := sw.Validate(); err != nil {
 		reject(w, http.StatusBadRequest, 0, err.Error(), runID)
 		return
 	}
@@ -465,7 +418,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		"dataset", req.Dataset, "algo", req.Algo, "config", req.Config)
 	defer sp.End()
 
-	res, digest, err := s.execPoint(ctx, spec)
+	res, digest, err := s.execPoint(ctx, sw.At(0))
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		s.logRequest("point", runID, r, err)
@@ -497,31 +450,26 @@ func retryAfterOf(err error) time.Duration {
 	return 0
 }
 
-// decodeRequest fills req from a POST JSON body or GET query
-// parameters, rejecting anything else.
-func decodeRequest(w http.ResponseWriter, r *http.Request, runID string, req *PointRequest) bool {
+// decodeRequest fills req from a POST JSON body, or through fromQuery
+// from GET query parameters, rejecting anything else.
+func decodeRequest(w http.ResponseWriter, r *http.Request, runID string, req any, fromQuery func(url.Values) error) bool {
+	var err error
 	switch r.Method {
 	case http.MethodPost:
 		dec := json.NewDecoder(r.Body)
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(req); err != nil {
-			reject(w, http.StatusBadRequest, 0, "invalid request body: "+err.Error(), runID)
-			return false
+		if err = dec.Decode(req); err != nil {
+			err = fmt.Errorf("invalid request body: %w", err)
 		}
 	case http.MethodGet:
-		q := r.URL.Query()
-		req.Dataset = q.Get("dataset")
-		req.Algo = q.Get("algo")
-		req.Config = q.Get("config")
-		if v := q.Get("sram_mb"); v != "" {
-			fmt.Sscanf(v, "%d", &req.SRAMMB)
-		}
-		if v := q.Get("timeout_ms"); v != "" {
-			fmt.Sscanf(v, "%d", &req.TimeoutMS)
-		}
+		err = fromQuery(r.URL.Query())
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		reject(w, http.StatusMethodNotAllowed, 0, "use GET with query parameters or POST with a JSON body", runID)
+		return false
+	}
+	if err != nil {
+		reject(w, http.StatusBadRequest, 0, err.Error(), runID)
 		return false
 	}
 	return true
@@ -568,30 +516,21 @@ type SweepEvent struct {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	runID := s.ids.NextString()
 	w.Header().Set("X-Hyve-Run-Id", runID)
-	req, ok := decodeSweepRequest(w, r, runID)
-	if !ok {
+	var req SweepRequest
+	if !decodeRequest(w, r, runID, &req, func(q url.Values) error {
+		req.Datasets = point.SplitList(q.Get("datasets"))
+		req.Algos = point.SplitList(q.Get("algos"))
+		req.Configs = point.SplitList(q.Get("configs"))
+		return queryInts(q, &req.SRAMMB, &req.TimeoutMS)
+	}) {
 		return
 	}
-	specs := make([]pointSpec, 0, len(req.Datasets)*len(req.Algos)*len(req.Configs))
-	if len(req.Datasets) == 0 || len(req.Algos) == 0 || len(req.Configs) == 0 {
-		reject(w, http.StatusBadRequest, 0, "datasets, algos, and configs must each name at least one value", runID)
+	sw := point.Sweep{Datasets: req.Datasets, Algos: req.Algos, Configs: req.Configs, SRAMMB: req.SRAMMB}
+	if err := sw.Validate(); err != nil {
+		reject(w, http.StatusBadRequest, 0, err.Error(), runID)
 		return
 	}
-	names := make([][3]string, 0, cap(specs))
-	for _, d := range req.Datasets {
-		for _, a := range req.Algos {
-			for _, c := range req.Configs {
-				spec, err := resolveSpec(d, a, c, req.SRAMMB)
-				if err != nil {
-					reject(w, http.StatusBadRequest, 0, err.Error(), runID)
-					return
-				}
-				specs = append(specs, spec)
-				names = append(names, [3]string{d, a, c})
-			}
-		}
-	}
-	n := len(specs)
+	n := sw.Len()
 	if n > s.cfg.MaxSweepPoints {
 		reject(w, http.StatusBadRequest, 0,
 			fmt.Sprintf("sweep of %d points exceeds the %d-point limit", n, s.cfg.MaxSweepPoints), runID)
@@ -623,59 +562,40 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Points fan across the bounded pool; the stream emits them in
 	// dataset-major order as soon as each index (and all before it) has
 	// finished, so the result sequence is deterministic while progress
-	// still streams during the run.
+	// still streams during the run. A point's failure streams as its own
+	// error event and never ends the sweep; only the request deadline or
+	// a client disconnect does, after the points in flight finish, so
+	// drain accounting (the surrounding release) never fires while
+	// simulations still run.
 	results := make([]*core.Result, n)
 	digests := make([]string, n)
-	errs := make([]error, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	poolErr := make(chan error, 1)
-	go func() {
-		poolErr <- parallel.ForEachCtx(ctx, cap(s.sem), n, parallel.Options{}, func(i int) error {
-			results[i], digests[i], errs[i] = s.execPoint(ctx, specs[i])
-			close(done[i])
-			return nil // per-point failures stream as events, they never kill the sweep
-		})
-	}()
-
 	completed, failed := 0, 0
-	aborted := false
-emitLoop:
-	for i := 0; i < n; i++ {
-		select {
-		case <-done[i]:
-		case <-ctx.Done():
-			aborted = true
-			break emitLoop
-		}
-		idx := i
+	err := parallel.ForEachOrdered(ctx, cap(s.sem), n, func(i int) error {
+		var err error
+		results[i], digests[i], err = s.execPoint(ctx, sw.At(i))
+		return err
+	}, func(i int, err error) error {
+		p := sw.At(i)
 		ev := SweepEvent{
-			RunID: runID, Index: &idx,
-			Dataset: names[i][0], Algo: names[i][1], Config: names[i][2],
+			RunID: runID, Index: &i,
+			Dataset: p.Dataset, Algo: p.Algo, Config: p.Config,
 			Digest: digests[i],
 		}
-		if errs[i] != nil {
-			ev.Event, ev.Error = "error", errs[i].Error()
+		var payload []byte
+		if err == nil {
+			payload, err = cache.EncodeResult(results[i])
+		}
+		if err != nil {
+			ev.Event, ev.Error = "error", err.Error()
 			failed++
 		} else {
-			payload, err := cache.EncodeResult(results[i])
-			if err != nil {
-				ev.Event, ev.Error = "error", err.Error()
-				failed++
-			} else {
-				ev.Event = "point"
-				ev.Result = json.RawMessage(payload)
-				completed++
-			}
+			ev.Event, ev.Result = "point", json.RawMessage(payload)
+			completed++
 		}
 		emit(ev)
-	}
-	// Wait for in-flight points even on an abort: the pool never
-	// abandons a claimed point, and drain accounting (the surrounding
-	// release) must not fire while simulations still run.
-	<-poolErr
+		return nil
+	})
+	aborted := err != nil
 	emit(SweepEvent{
 		Event: "done", RunID: runID,
 		Completed: completed, Errors: failed,
@@ -688,45 +608,24 @@ emitLoop:
 	s.logRequest("sweep", runID, r, ctx.Err())
 }
 
-// decodeSweepRequest fills a SweepRequest from POST JSON or GET query
-// parameters (comma-separated lists).
-func decodeSweepRequest(w http.ResponseWriter, r *http.Request, runID string) (SweepRequest, bool) {
-	var req SweepRequest
-	switch r.Method {
-	case http.MethodPost:
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			reject(w, http.StatusBadRequest, 0, "invalid request body: "+err.Error(), runID)
-			return req, false
+// queryInts parses the numeric GET parameters sram_mb and timeout_ms;
+// an absent one leaves its field zero, a malformed one is an error.
+func queryInts(q url.Values, sramMB, timeoutMS *int64) error {
+	for _, f := range []struct {
+		name string
+		dst  *int64
+	}{{"sram_mb", sramMB}, {"timeout_ms", timeoutMS}} {
+		v := q.Get(f.name)
+		if v == "" {
+			continue
 		}
-	case http.MethodGet:
-		q := r.URL.Query()
-		req.Datasets = splitList(q.Get("datasets"))
-		req.Algos = splitList(q.Get("algos"))
-		req.Configs = splitList(q.Get("configs"))
-		if v := q.Get("sram_mb"); v != "" {
-			fmt.Sscanf(v, "%d", &req.SRAMMB)
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return fmt.Errorf("invalid %s %q: want a base-10 integer", f.name, v)
 		}
-		if v := q.Get("timeout_ms"); v != "" {
-			fmt.Sscanf(v, "%d", &req.TimeoutMS)
-		}
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		reject(w, http.StatusMethodNotAllowed, 0, "use GET with query parameters or POST with a JSON body", runID)
-		return req, false
+		*f.dst = n
 	}
-	return req, true
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+	return nil
 }
 
 // --- /healthz ------------------------------------------------------------

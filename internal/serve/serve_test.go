@@ -198,6 +198,37 @@ func TestPointValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("PUT status = %d, want 405", resp.StatusCode)
 	}
+
+	// Negative or overflowing SRAM sizes are refused at the boundary, so
+	// they never count against the dataset's breaker: the execution seam
+	// here fails exactly as the real one does on an invalid Config.
+	res := smallResult(t)
+	srv.simulate = func(ctx context.Context, cfg core.Config, _ core.Workload) (*core.Result, error) {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		return res, nil
+	}
+	for _, q := range []string{
+		"sram_mb=8796093022208", "sram_mb=9223372036854775807", "sram_mb=8796093022209",
+		"sram_mb=17592186044416", "sram_mb=8796093022208", "sram_mb=-1",
+	} {
+		resp, err := http.Get(ts.URL + "/point?dataset=YT&algo=BFS&config=hyve-opt&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400 (body %s)", q, resp.StatusCode, body)
+		}
+	}
+	resp, err = http.Get(ts.URL + "/point?dataset=YT&algo=BFS&config=hyve-opt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Errorf("valid YT point after invalid ones: status = %d, body %s", resp.StatusCode, body)
+	}
 }
 
 // TestOverloadRejectsWith429 pins the admission contract: past the
@@ -587,5 +618,24 @@ func TestPointGETQueryParams(t *testing.T) {
 	want, _ := cache.EncodeResult(smallResult(t))
 	if !bytes.Equal(body, want) {
 		t.Error("GET body is not the canonical result document")
+	}
+
+	// Numeric parameters parse strictly: trailing garbage is not a number.
+	for _, q := range []string{
+		"point?dataset=YT&algo=PR&config=sd&sram_mb=abc",
+		"point?dataset=YT&algo=PR&config=sd&sram_mb=2abc",
+		"point?dataset=YT&algo=PR&config=sd&sram_mb=1.5",
+		"point?dataset=YT&algo=PR&config=sd&timeout_ms=10s",
+		"sweep?datasets=YT&algos=PR&configs=sd&sram_mb=2abc",
+		"sweep?datasets=YT&algos=PR&configs=sd&timeout_ms=x",
+	} {
+		resp, err := http.Get(ts.URL + "/" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("GET /%s = %d, want 400 (body %s)", q, resp.StatusCode, body)
+		}
 	}
 }
