@@ -205,20 +205,10 @@ type Result struct {
 }
 
 // ActivityRatio is the fraction of traversals that scattered a message.
-func (r *Result) ActivityRatio() float64 {
-	if r.EdgesProcessed == 0 {
-		return 0
-	}
-	return float64(r.ActiveEdges) / float64(r.EdgesProcessed)
-}
+func (r *Result) ActivityRatio() float64 { return ratio(r.ActiveEdges, r.EdgesProcessed) }
 
 // UpdateRatio is the fraction of traversals that wrote the destination.
-func (r *Result) UpdateRatio() float64 {
-	if r.EdgesProcessed == 0 {
-		return 0
-	}
-	return float64(r.UpdatedGathers) / float64(r.EdgesProcessed)
-}
+func (r *Result) UpdateRatio() float64 { return ratio(r.UpdatedGathers, r.EdgesProcessed) }
 
 // Run executes p on g to completion over the flat edge list and returns
 // the result, streaming through the program's kernel when it provides

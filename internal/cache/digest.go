@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"hash"
 	"math"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -107,14 +106,8 @@ func (h *Hasher) Sum() Digest {
 	return d
 }
 
-// graphDigests memoizes per-graph content hashes. Topology is immutable
-// after generation (the graph package's contract — OutDegrees memoizes on
-// the same ground), so one hash per *Graph is safe for the process
-// lifetime; entries are dropped with the graph itself once unreferenced
-// keys stop being looked up (the map holds the graph alive, which is
-// acceptable: workloads are already cached for the process lifetime by
-// the experiment layer).
-var graphDigests sync.Map // *graph.Graph → Digest
+// graphDigestKey is the graph.Graph.Memo key of GraphDigest.
+type graphDigestKey struct{}
 
 // GraphDigest hashes the graph's actual content — vertex count, the edge
 // list, and weights when present — so two differently labeled or
@@ -123,14 +116,15 @@ var graphDigests sync.Map // *graph.Graph → Digest
 // name cannot collide. The byte stream is graph.ContentDigest (the same
 // digest v2 containers carry in their headers, which is what makes a
 // prepared-file load and an in-process generation indistinguishable
-// here); this wrapper memoizes it per instance.
+// here); this wrapper memoizes it on the instance through
+// graph.Graph.Memo, so the digest lives exactly as long as the graph and
+// holds nothing alive. Topology is immutable after generation (the
+// graph package's contract), so one hash per instance is exact.
 func GraphDigest(g *graph.Graph) Digest {
-	if v, ok := graphDigests.Load(g); ok {
-		return v.(Digest)
-	}
-	d := Digest(graph.ContentDigest(g))
-	actual, _ := graphDigests.LoadOrStore(g, d)
-	return actual.(Digest)
+	v, _ := g.Memo(graphDigestKey{}, func() (any, error) {
+		return Digest(graph.ContentDigest(g)), nil
+	})
+	return v.(Digest)
 }
 
 // PointDigest computes the canonical identity of one simulation point:

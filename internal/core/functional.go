@@ -94,7 +94,7 @@ func Grid(cfg Config, w Workload) (*partition.Grid, int, error) {
 // Machine is one assembled simulator instance for a (Config, Workload)
 // point: the devices, regions, and — most importantly — the partitioned
 // grid are built once and shared by every run of the point. Use it when
-// the same point needs both the functional pre-run and the cost run
+// the same point needs both the blocked functional run and the cost run
 // (the conformance harness, experiment sweeps that cross-check), which
 // previously paid a full grid rebuild for each.
 //

@@ -47,15 +47,16 @@ type Workload struct {
 	UpdateFactor   float64
 }
 
-// WorkloadFor assembles the standard workload for a paper dataset.
+// WorkloadFor assembles the standard workload for a paper dataset. A
+// program that needs weights gets the dataset's one weighted instance
+// (graph.Graph.UniformlyWeighted), shared by every such call.
 func WorkloadFor(d graph.Dataset, p algo.Program) (Workload, error) {
 	g, err := d.Load()
 	if err != nil {
 		return Workload{}, err
 	}
 	if p.NeedsWeights() && !g.Weighted() {
-		g = g.Clone()
-		graph.AttachUniformWeights(g, 8, d.Seed^0x5EED)
+		g = g.UniformlyWeighted(8, d.Seed^0x5EED)
 	}
 	return Workload{
 		DatasetName:  d.Name,
@@ -435,13 +436,13 @@ func (s *machine) transferCost(bytes int64, toOffchip bool) (units.Time, units.E
 }
 
 // run walks Algorithm 2 once to price an iteration, derives the
-// iteration count from a functional run (or the workload override), and
-// assembles the report.
+// iteration count from the (graph, program) pair's memoized functional
+// summary (or the workload override), and assembles the report.
 func (s *machine) run() (*Result, error) {
 	iters := s.w.Iterations
 	var edgesProcessed int64
 	if iters <= 0 {
-		fr, err := algo.Run(s.w.Program, s.w.Graph)
+		fr, err := algo.Summarize(s.w.Program, s.w.Graph)
 		if err != nil {
 			return nil, err
 		}

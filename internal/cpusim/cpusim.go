@@ -110,7 +110,7 @@ func Simulate(m Model, w core.Workload) (*energy.Report, error) {
 	iters := w.Iterations
 	var edges int64
 	if iters <= 0 {
-		fr, err := algo.Run(w.Program, w.Graph)
+		fr, err := algo.Summarize(w.Program, w.Graph)
 		if err != nil {
 			return nil, err
 		}

@@ -228,7 +228,7 @@ func runAblationModel(w io.Writer, opt Options) error {
 			return err
 		}
 		prog := algo.NewBFS(0)
-		ec, err := algo.Run(prog, g)
+		ec, err := algo.Summarize(prog, g)
 		if err != nil {
 			return err
 		}

@@ -45,10 +45,10 @@ func TestConcurrentRunnersRaceClean(t *testing.T) {
 	}
 }
 
-// TestConcurrentWorkloadFor hammers the singleflight cache: many
-// goroutines asking for the same (dataset, program) must all see the
-// one memoized workload, and distinct scales of the same dataset must
-// not collide.
+// TestConcurrentWorkloadFor hammers the memoized workload assembly:
+// many goroutines asking for the same (dataset, program) must all see
+// one graph and one functional outcome, and distinct scales of the same
+// dataset must not collide.
 func TestConcurrentWorkloadFor(t *testing.T) {
 	d := graph.Datasets[0]
 	scaled := d

@@ -65,10 +65,16 @@ func (d Dataset) Generate() (*Graph, error) {
 	return GenerateRMAT(d.GenVertices(), d.GenEdges(), d.RMAT, d.Seed)
 }
 
-var (
-	datasetCacheMu sync.Mutex
-	datasetCache   = map[string]*Graph{}
-)
+// datasetCache maps cacheKey → *datasetEntry. Each key has its own
+// Once, so a cold load blocks only the callers of the same instance:
+// different datasets generate or load concurrently.
+var datasetCache sync.Map
+
+type datasetEntry struct {
+	once sync.Once
+	g    *Graph
+	err  error
+}
 
 // cacheKey identifies the generated instance, not just the dataset: a
 // caller sweeping scaled or reseeded variants of one dataset must not be
@@ -80,31 +86,36 @@ func (d Dataset) cacheKey() string {
 // Load returns the dataset's graph, memoized process-wide: the
 // experiment harness touches every dataset from many runners and
 // regenerating a million-edge R-MAT instance per figure would dominate
-// run time. When a prepared directory is set (SetPreparedDir) and holds
-// a container for this instance, it is mmap-loaded instead of generated
+// run time. Concurrent callers of one instance share a single load and
+// get one pointer; a failed load is not kept, so the next call retries.
+// When a prepared directory is set (SetPreparedDir) and holds a
+// container for this instance, it is mmap-loaded instead of generated
 // — bit-identical by construction and validated on open (see
 // prepared.go). Callers must not mutate the returned graph; use Clone.
 func (d Dataset) Load() (*Graph, error) {
 	key := d.cacheKey()
-	datasetCacheMu.Lock()
-	defer datasetCacheMu.Unlock()
-	if g, ok := datasetCache[key]; ok {
-		return g, nil
-	}
+	v, _ := datasetCache.LoadOrStore(key, &datasetEntry{})
+	e := v.(*datasetEntry)
+	e.once.Do(func() {
+		e.g, e.err = d.load()
+		if e.err != nil {
+			datasetCache.CompareAndDelete(key, e)
+		}
+	})
+	return e.g, e.err
+}
+
+// load generates the instance, or reads it from the prepared directory
+// when that holds a container for it.
+func (d Dataset) load() (*Graph, error) {
 	if dir := PreparedDir(); dir != "" {
 		g, err := d.loadPrepared(dir)
 		if err != nil {
 			return nil, err
 		}
 		if g != nil {
-			datasetCache[key] = g
 			return g, nil
 		}
 	}
-	g, err := d.Generate()
-	if err != nil {
-		return nil, err
-	}
-	datasetCache[key] = g
-	return g, nil
+	return d.Generate()
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -190,9 +191,40 @@ func GenerateChain(numVertices int) (*Graph, error) {
 // AttachUniformWeights adds deterministic pseudo-random edge weights in
 // (0, maxWeight] to g, for SSSP and SpMV workloads.
 func AttachUniformWeights(g *Graph, maxWeight float32, seed uint64) {
+	g.Weights = uniformWeights(len(g.Edges), maxWeight, seed)
+}
+
+func uniformWeights(n int, maxWeight float32, seed uint64) []float32 {
 	rng := NewRNG(seed)
-	g.Weights = make([]float32, len(g.Edges))
-	for i := range g.Weights {
-		g.Weights[i] = maxWeight * float32(1-rng.Float64())
+	w := make([]float32, n)
+	for i := range w {
+		w[i] = maxWeight * float32(1-rng.Float64())
 	}
+	return w
+}
+
+// weightedKey is the Memo key of a UniformlyWeighted derivative.
+// The weight is keyed by its bits so every value, NaN included, finds
+// its own entry again.
+type weightedKey struct {
+	maxWeightBits uint32
+	seed          uint64
+}
+
+// UniformlyWeighted returns g carrying the weights
+// AttachUniformWeights(g.Clone(), maxWeight, seed) would attach, built
+// once per (g, maxWeight, seed) through Memo: every caller gets the same
+// *Graph, hence one content digest and one memoized functional run per
+// weighted instance. The derivative aliases g's immutable edge slice
+// instead of copying it; like Clone it drops container provenance
+// (PreparedGrid). Any weights g already carries are replaced.
+func (g *Graph) UniformlyWeighted(maxWeight float32, seed uint64) *Graph {
+	v, _ := g.Memo(weightedKey{math.Float32bits(maxWeight), seed}, func() (any, error) {
+		return &Graph{
+			NumVertices: g.NumVertices,
+			Edges:       g.Edges,
+			Weights:     uniformWeights(len(g.Edges), maxWeight, seed),
+		}, nil
+	})
+	return v.(*Graph)
 }

@@ -36,18 +36,25 @@ const EdgeBytes = 8
 // SSSP/SpMV); per the paper, weights never change during execution.
 //
 // Topology is immutable after generation: once any consumer has seen the
-// graph (a state, a partition, a degree query), Edges and NumVertices
-// must not change. Dynamic-graph workloads (internal/dynamic) snapshot
-// into fresh Graphs instead of mutating one in place. OutDegrees relies
-// on this contract to memoize; SortEdges and AttachUniformWeights are
+// graph (a state, a partition, a degree query), Edges, Weights and
+// NumVertices must not change. Dynamic-graph workloads (internal/dynamic)
+// snapshot into fresh Graphs instead of mutating one in place. Memo
+// relies on this contract; SortEdges and AttachUniformWeights are
 // generation-time steps that run before the graph is shared.
+//
+// Memo stores values derived from the graph's content on the instance
+// itself — out-degrees, the content digest, functional run summaries,
+// the weighted derivative — so they live exactly as long as the graph
+// and need no process-wide map. UniformlyWeighted is one such value: a
+// second Graph that aliases this one's edge slice and adds a weight
+// array.
 type Graph struct {
 	NumVertices int
 	Edges       []Edge
 	Weights     []float32
 
-	outDegOnce sync.Once
-	outDeg     []uint32
+	memoMu sync.Mutex
+	memo   map[any]*memoEntry
 
 	// prep, when non-nil, is the pre-partitioned grid payload attached by
 	// the v2 container this graph was materialized from (see v2read.go).
@@ -117,8 +124,8 @@ func (g *Graph) Validate() error {
 }
 
 // OutDegrees returns the out-degree of every vertex. The scan runs once
-// per graph and the result is memoized: every later call (from any
-// goroutine — the memo is a sync.Once) returns the same shared slice.
+// per graph and the result is memoized (see Memo): every later call,
+// from any goroutine, returns the same shared slice.
 // Callers must treat it as read-only, and per the immutability contract
 // on Graph the edge list must not be mutated after the first call.
 //
@@ -126,14 +133,56 @@ func (g *Graph) Validate() error {
 // vertex with more than 2³² out-edges is beyond even the paper's
 // billion-edge graphs, and halving the array matters at full scale.
 func (g *Graph) OutDegrees() []uint32 {
-	g.outDegOnce.Do(func() {
+	v, _ := g.Memo(outDegreesKey{}, func() (any, error) {
 		deg := make([]uint32, g.NumVertices)
 		for _, e := range g.Edges {
 			deg[e.Src]++
 		}
-		g.outDeg = deg
+		return deg, nil
 	})
-	return g.outDeg
+	return v.([]uint32)
+}
+
+// outDegreesKey is the Memo key of OutDegrees.
+type outDegreesKey struct{}
+
+// memoEntry is one Memo slot: the Once makes concurrent first callers
+// share one build.
+type memoEntry struct {
+	once sync.Once
+	v    any
+	err  error
+}
+
+// Memo returns the value build derives from g, computing it at most once
+// per key for the life of g: concurrent callers with the same key share
+// one build and its result. A failed build is not kept — the callers
+// waiting on it get its error, and the next call builds afresh. Keys
+// must be comparable and should be of a type unexported by the calling
+// package (like context keys), so packages cannot collide; a key must
+// cover every parameter the value depends on besides g's content.
+// Per the immutability contract, the value must depend only on g's
+// content and the key.
+func (g *Graph) Memo(key any, build func() (any, error)) (any, error) {
+	g.memoMu.Lock()
+	e := g.memo[key]
+	if e == nil {
+		if g.memo == nil {
+			g.memo = map[any]*memoEntry{}
+		}
+		e = &memoEntry{}
+		g.memo[key] = e
+	}
+	g.memoMu.Unlock()
+	e.once.Do(func() {
+		e.v, e.err = build()
+		if e.err != nil {
+			g.memoMu.Lock()
+			delete(g.memo, key)
+			g.memoMu.Unlock()
+		}
+	})
+	return e.v, e.err
 }
 
 // InDegrees returns the in-degree of every vertex.

@@ -23,11 +23,9 @@ func resetPrepared(t *testing.T, dir string, ds ...Dataset) {
 	SetPreparedDir(dir)
 	t.Cleanup(func() { SetPreparedDir("") })
 	drop := func() {
-		datasetCacheMu.Lock()
 		for _, d := range ds {
-			delete(datasetCache, d.cacheKey())
+			datasetCache.Delete(d.cacheKey())
 		}
-		datasetCacheMu.Unlock()
 	}
 	drop()
 	t.Cleanup(drop)

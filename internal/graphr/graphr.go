@@ -144,7 +144,7 @@ func Simulate(cfg Config, w core.Workload) (*Result, error) {
 	iters := w.Iterations
 	var edgesProcessed int64
 	if iters <= 0 {
-		fr, err := algo.Run(w.Program, w.Graph)
+		fr, err := algo.Summarize(w.Program, w.Graph)
 		if err != nil {
 			return nil, err
 		}
