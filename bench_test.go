@@ -163,36 +163,6 @@ func BenchmarkGraphLoadV2(b *testing.B) {
 	})
 }
 
-// BenchmarkPartitionStream measures the bounded-memory grid builder:
-// the in-memory single-run path and a budget small enough to spill and
-// merge runs through the temp file.
-func BenchmarkPartitionStream(b *testing.B) {
-	g := benchGraph(b)
-	asg, err := partition.NewHashed(g.NumVertices, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name   string
-		budget int64
-	}{{"in-memory", 0}, {"spill-4MiB", 4 << 20}} {
-		b.Run(bc.name, func(b *testing.B) {
-			dir := b.TempDir()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, closer, err := partition.StreamBuild(g, asg, partition.StreamOptions{BudgetBytes: bc.budget, TmpDir: dir})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := closer(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(g.NumEdges()), "edges/op")
-		})
-	}
-}
-
 func BenchmarkPartitionBuild(b *testing.B) {
 	g := benchGraph(b)
 	asg, err := partition.NewHashed(g.NumVertices, 32)

@@ -234,6 +234,9 @@ func TestNewStateRejectsEmptyGraph(t *testing.T) {
 	if _, err := NewState(NewBFS(0), &graph.Graph{}); err == nil {
 		t.Error("empty graph accepted")
 	}
+	if _, err := NewState(NewSSSP(0), rmat(t, 64, 256, 1)); err == nil {
+		t.Error("SSSP without weights accepted")
+	}
 }
 
 func TestStateStepwiseMatchesRun(t *testing.T) {
@@ -249,13 +252,17 @@ func TestStateStepwiseMatchesRun(t *testing.T) {
 		// Process edges in two arbitrary chunks, as a blocked simulator
 		// would.
 		half := len(g.Edges) / 2
-		for i, e := range g.Edges[:half] {
-			s.ProcessEdge(e, g.Weight(i))
-		}
-		for i, e := range g.Edges[half:] {
-			s.ProcessEdge(e, g.Weight(half+i))
-		}
+		var ks KernelStats
+		s.ProcessEdgesInto(&ks, g.Edges[:half], nil)
+		s.ProcessEdgesInto(&ks, g.Edges[half:], nil)
+		s.AddStats(ks)
 		s.EndIteration()
 	}
 	sameValues(t, "stepwise PR", s.Values, want.Values, 0)
+	if s.EdgesProcessed != want.EdgesProcessed || s.ActiveEdges != want.ActiveEdges ||
+		s.UpdatedGathers != want.UpdatedGathers {
+		t.Errorf("stepwise counters (%d, %d, %d), want (%d, %d, %d)",
+			s.EdgesProcessed, s.ActiveEdges, s.UpdatedGathers,
+			want.EdgesProcessed, want.ActiveEdges, want.UpdatedGathers)
+	}
 }

@@ -66,10 +66,6 @@ func NewState(p Program, g *graph.Graph) (*State, error) {
 // against).
 func (s *State) SetKernel(k EdgeKernel) { s.kernel = k }
 
-// Kernelized reports whether edge streaming runs through a specialized
-// kernel.
-func (s *State) Kernelized() bool { return s.kernel != nil }
-
 // BeginIteration seeds the accumulators.
 func (s *State) BeginIteration() {
 	for v := range s.Accum {
@@ -77,25 +73,9 @@ func (s *State) BeginIteration() {
 	}
 }
 
-// ProcessEdge streams one edge: scatter from the source's *current*
-// value, gather into the destination's accumulator.
-func (s *State) ProcessEdge(e graph.Edge, w float32) {
-	s.EdgesProcessed++
-	msg, active := s.Prog.Scatter(s.Values[e.Src], int(s.OutDeg[e.Src]), w)
-	if !active {
-		return
-	}
-	s.ActiveEdges++
-	next := s.Prog.Gather(s.Accum[e.Dst], msg)
-	if next != s.Accum[e.Dst] {
-		s.UpdatedGathers++
-		s.Accum[e.Dst] = next
-	}
-}
-
 // ProcessEdges streams a contiguous slice of edges (weights[i] per edge;
 // nil weights mean weight 1) through the program's kernel, falling back
-// to the generic ProcessEdge semantics when no kernel is set. Both paths
+// to the generic Scatter/Gather calls when no kernel is set. Both paths
 // produce bit-identical accumulators and counters.
 func (s *State) ProcessEdges(edges []graph.Edge, weights []float32) {
 	var ks KernelStats
@@ -203,12 +183,6 @@ type Result struct {
 	VerticesProcessed int64
 	Converged         bool
 }
-
-// ActivityRatio is the fraction of traversals that scattered a message.
-func (r *Result) ActivityRatio() float64 { return ratio(r.ActiveEdges, r.EdgesProcessed) }
-
-// UpdateRatio is the fraction of traversals that wrote the destination.
-func (r *Result) UpdateRatio() float64 { return ratio(r.UpdatedGathers, r.EdgesProcessed) }
 
 // Run executes p on g to completion over the flat edge list and returns
 // the result, streaming through the program's kernel when it provides

@@ -8,12 +8,13 @@ import (
 
 // This file holds the monomorphized edge-streaming kernels: specialized
 // inner loops for each registered program that eliminate the two
-// interface-method calls (Scatter, Gather) the generic State.ProcessEdge
-// path pays per edge. A kernel must be observationally identical to the
-// generic path — bit-identical accumulator contents and identical
-// edge/active/updated counters on any edge slice — which the kernel
-// equivalence tests and the check harness's kernel-vs-oracle invariant
-// enforce against the generic path as oracle.
+// interface-method calls (Scatter, Gather) the generic
+// State.ProcessEdgesInto path pays per edge. A kernel must be
+// observationally identical to the generic path — bit-identical
+// accumulator contents and identical edge/active/updated counters on
+// any edge slice — which the kernel equivalence tests and the check
+// harness's kernel-vs-oracle invariant enforce against the generic path
+// as oracle.
 //
 // Kernels read vertex values and write accumulators through raw slices,
 // so they compose with every execution strategy: the flat Run loop, the
@@ -50,7 +51,7 @@ type EdgeKernel func(values, accum []float64, outDeg []uint32, edges []graph.Edg
 
 // KernelProgram is implemented by programs that provide a specialized
 // edge kernel. NewState picks the kernel up automatically; the generic
-// ProcessEdge path remains available as fallback and oracle
+// interface-dispatched path remains available as fallback and oracle
 // (State.SetKernel(nil) forces it).
 type KernelProgram interface {
 	Program

@@ -30,8 +30,8 @@ func kernelTestGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // Every registered program must stream bit-identically through the
-// specialized kernel, the generic ProcessEdge path, and the
-// owner-computes parallel runner — values and counters.
+// specialized kernel and the generic interface-dispatched path — values
+// and counters.
 func TestKernelVsOracle(t *testing.T) {
 	for name, g := range kernelTestGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -60,11 +60,11 @@ func TestAllProgramsKernelized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !s.Kernelized() {
+		if s.kernel == nil {
 			t.Errorf("%s: no kernel", p.Name())
 		}
 		s.SetKernel(nil)
-		if s.Kernelized() {
+		if s.kernel != nil {
 			t.Errorf("%s: SetKernel(nil) did not disable the kernel", p.Name())
 		}
 	}

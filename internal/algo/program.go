@@ -87,11 +87,6 @@ type PageRank struct {
 	// budget it only reports convergence, with Iterations == 0 it stops
 	// the run (NewPageRankConverge).
 	Epsilon float64
-	// Warm, when non-nil, seeds vertex values from a previous solution
-	// instead of the uniform distribution — the §5 evolving-graph use
-	// case, where ranks are recomputed after each update batch and the
-	// old fixed point is an excellent starting guess.
-	Warm []float64
 }
 
 // NewPageRank returns the paper's configuration.
@@ -103,14 +98,6 @@ func NewPageRank() *PageRank {
 // fixed point instead of a fixed budget.
 func NewPageRankConverge(eps float64) *PageRank {
 	return &PageRank{Damping: 0.85, Epsilon: eps}
-}
-
-// WithWarmStart returns a copy of p seeded from prev (per-vertex ranks;
-// vertices beyond len(prev) start uniform).
-func (p *PageRank) WithWarmStart(prev []float64) *PageRank {
-	c := *p
-	c.Warm = append([]float64(nil), prev...)
-	return &c
 }
 
 // Name implements Program.
@@ -128,13 +115,8 @@ func (p *PageRank) NeedsWeights() bool { return false }
 // FixedIterations implements Program.
 func (p *PageRank) FixedIterations() int { return p.Iterations }
 
-// Init implements Program: uniform rank, or the warm-start seed.
-func (p *PageRank) Init(v graph.VertexID, n int) float64 {
-	if p.Warm != nil && int(v) < len(p.Warm) {
-		return p.Warm[v]
-	}
-	return 1 / float64(n)
-}
+// Init implements Program: uniform rank.
+func (p *PageRank) Init(_ graph.VertexID, n int) float64 { return 1 / float64(n) }
 
 // AccumIdentity implements Program.
 func (p *PageRank) AccumIdentity(float64) float64 { return 0 }

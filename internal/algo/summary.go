@@ -50,9 +50,8 @@ func (r *Result) Summary() Summary {
 // graph.Graph.Memo): every simulator pricing the same (graph, program)
 // pair under a different hierarchy shares one functional pass, and the
 // summary lives as long as g. Concurrent first callers share one run;
-// an error is returned but not memoized. A program with per-vertex
-// state (a warm-started PageRank) or of a type this package does not
-// define runs unmemoized.
+// an error is returned but not memoized. A program of a type this
+// package does not define runs unmemoized.
 func Summarize(p Program, g *graph.Graph) (Summary, error) {
 	key, ok := summaryKeyOf(p)
 	if !ok {
@@ -87,9 +86,6 @@ type summaryKey struct {
 func summaryKeyOf(p Program) (summaryKey, bool) {
 	switch q := p.(type) {
 	case *PageRank:
-		if q.Warm != nil {
-			return summaryKey{}, false
-		}
 		return summaryKey{prog: "PageRank", iterations: q.Iterations,
 			damping: math.Float64bits(q.Damping), epsilon: math.Float64bits(q.Epsilon)}, true
 	case *BFS:

@@ -152,10 +152,11 @@ func checkBlockedVsFlat(p *Point) error {
 }
 
 // checkKernelVsOracle holds every rewritten hot path against the generic
-// interface-dispatched engine: the monomorphized kernels and the
-// owner-computes parallel runner on the flat edge list (algo hook), then
-// the block-parallel Algorithm 2 schedule against its sequential
-// (Parallelism=1) execution — all bit-identical, counters included.
+// interface-dispatched engine: the monomorphized kernels on the flat
+// edge list (algo hook), then the block-parallel Algorithm 2 schedule —
+// the engine production parallelises, owner-computes per destination
+// interval — against its sequential (Parallelism=1) execution, all
+// bit-identical, counters included.
 func checkKernelVsOracle(p *Point) error {
 	if err := algo.CheckKernelVsOracle(p.Prog, p.Graph); err != nil {
 		return err

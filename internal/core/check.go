@@ -145,7 +145,7 @@ func CheckResult(cfg Config, w Workload, r *Result) error {
 // sums match exactly, every non-empty block is streamed exactly once,
 // and every access stays inside its memory image.
 func checkTrace(cfg Config, w Workload, s *machine, d *Detail, edgeSize int64) error {
-	img, edgeOffsets, err := BuildEdgeImageScheduled(s.grid, cfg.NumPUs)
+	edgeOffsets, err := scheduledEdgeOffsets(s.grid, cfg.NumPUs)
 	if err != nil {
 		return err
 	}
@@ -179,9 +179,9 @@ func checkTrace(cfg Config, w Workload, s *machine, d *Detail, edgeSize int64) e
 			// The image serializes 8-byte edges; modeled weight bytes ride
 			// along in Bytes but not in the stored image.
 			stored := a.Bytes / edgeSize * graph.EdgeBytes
-			if a.Addr < EdgeImageHeaderBytes || a.Addr+stored > int64(len(img)) {
+			if size := edgeOffsets[s.p*s.p]; a.Addr < EdgeImageHeaderBytes || a.Addr+stored > size {
 				fail("core: block (%d,%d) read [%d,%d) outside edge image of %d bytes",
-					a.BlockX, a.BlockY, a.Addr, a.Addr+stored, len(img))
+					a.BlockX, a.BlockY, a.Addr, a.Addr+stored, size)
 			}
 			if want, aerr := EdgeAddress(edgeOffsets, s.p, a.BlockX, a.BlockY); aerr != nil || want != a.Addr {
 				fail("core: block (%d,%d) read at %d, image says %d (%v)", a.BlockX, a.BlockY, a.Addr, want, aerr)

@@ -52,19 +52,12 @@ func SimulateSuperBlockDES(cfg Config, w Workload, sbx, sby int) (*SuperBlockTim
 		return nil, fmt.Errorf("core: super block (%d,%d) out of %d×%d", sbx, sby, pn, pn)
 	}
 
-	eng := sim.New(0)
-	edgeChannel := sim.NewResource(eng)
-	vtxChannel := sim.NewResource(eng)
+	var edgeChannel, vtxChannel sim.Resource
 	// The on-chip vertex memory has a source section and a destination
 	// section (§3.2) — independent ports.
-	srcPort := make([]*sim.Resource, n)
-	dstPort := make([]*sim.Resource, n)
-	puPipe := make([]*sim.Resource, n)
-	for i := 0; i < n; i++ {
-		srcPort[i] = sim.NewResource(eng)
-		dstPort[i] = sim.NewResource(eng)
-		puPipe[i] = sim.NewResource(eng)
-	}
+	srcPort := make([]sim.Resource, n)
+	dstPort := make([]sim.Resource, n)
+	puPipe := make([]sim.Resource, n)
 
 	// Per-operation service times from the same device models the cost
 	// simulator uses.
@@ -104,13 +97,13 @@ func SimulateSuperBlockDES(cfg Config, w Workload, sbx, sby int) (*SuperBlockTim
 	// --- Loading phase.
 	loadEnd := clock
 	for i := 0; i < n; i++ {
-		end := transfer(clock, dstPort[i], sby*n+i, false) // destination interval
+		end := transfer(clock, &dstPort[i], sby*n+i, false) // destination interval
 		if end > loadEnd {
 			loadEnd = end
 		}
 	}
 	for i := 0; i < n; i++ {
-		end := transfer(clock, srcPort[i], sbx*n+i, false) // source interval
+		end := transfer(clock, &srcPort[i], sbx*n+i, false) // source interval
 		if end > loadEnd {
 			loadEnd = end
 		}
@@ -155,16 +148,13 @@ func SimulateSuperBlockDES(cfg Config, w Workload, sbx, sby int) (*SuperBlockTim
 	// --- Writeback phase.
 	wbEnd := clock
 	for i := 0; i < n; i++ {
-		end := transfer(clock, dstPort[i], sby*n+i, true)
+		end := transfer(clock, &dstPort[i], sby*n+i, true)
 		if end > wbEnd {
 			wbEnd = end
 		}
 	}
 	st.WritebackTime = wbEnd - clock
 	st.Total = wbEnd
-	if _, err := eng.Run(); err != nil {
-		return nil, err
-	}
 	return st, nil
 }
 

@@ -3,27 +3,28 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
 
-// This file materializes §3.4 "Memory Management and Data Organization"
-// as actual bytes: the edge-memory image (blocks stored sequentially,
-// each headed by its source/destination interval indices and edge
-// count) and the vertex-memory image (intervals stored sequentially,
-// each headed by its index and vertex count, followed by the value
-// array indexed by in-interval id). The images are what the one-shot
-// preprocessing step writes into the ReRAM and DRAM devices; building
-// them byte-exactly pins down every address the simulator charges.
+// This file lays out §3.4 "Memory Management and Data Organization":
+// the edge-memory image (blocks stored sequentially, each headed by its
+// source/destination interval indices and edge count) and the
+// vertex-memory image (intervals stored sequentially, each headed by its
+// index and vertex count, followed by the value array indexed by
+// in-interval id). The images are what the one-shot preprocessing step
+// writes into the ReRAM and DRAM devices; their offsets pin down every
+// address the simulator charges, and the edge image is also built as
+// actual bytes (hyve-prep -image).
 //
 // Layout (all integers little-endian uint32):
 //
-//	edge image:   per block (row-major): srcInterval, dstInterval,
-//	              edgeCount, then edgeCount × {src, dst} vertex ids
+//	edge image:   per block (row-major, or Algorithm 2's visit order in
+//	              production): srcInterval, dstInterval, edgeCount,
+//	              then edgeCount × {src, dst} vertex ids
 //	vertex image: per interval: index, vertexCount, then vertexCount
-//	              float64 values (by in-interval index)
+//	              values of the program's width (by in-interval index)
 
 // EdgeImageHeaderBytes is the per-block header size.
 const EdgeImageHeaderBytes = 12
@@ -58,33 +59,44 @@ func ScheduleBlockOrder(p, n int) []int {
 // row-major block order and returns it with per-block start offsets
 // (indexed by block id = x·P + y).
 func BuildEdgeImage(grid *partition.Grid) ([]byte, []int64) {
-	p := grid.P()
-	order := make([]int, 0, p*p)
-	for x := 0; x < p; x++ {
-		for y := 0; y < p; y++ {
-			order = append(order, x*p+y)
-		}
+	order := make([]int, grid.P()*grid.P())
+	for b := range order {
+		order[b] = b
 	}
 	return buildEdgeImage(grid, order)
 }
 
-// BuildEdgeImageScheduled lays the blocks out in Algorithm 2's visit
-// order for n processing units — the production layout, under which the
-// iteration's block reads are a single sequential sweep.
-func BuildEdgeImageScheduled(grid *partition.Grid, n int) ([]byte, []int64, error) {
+// scheduledEdgeOffsets returns the per-block start offsets of the edge
+// image laid out in Algorithm 2's visit order for n processing units —
+// the production layout, under which the iteration's block reads are a
+// single sequential sweep — without serializing the image.
+func scheduledEdgeOffsets(grid *partition.Grid, n int) ([]int64, error) {
 	p := grid.P()
 	if n <= 0 || p%n != 0 {
-		return nil, nil, fmt.Errorf("core: P=%d not a multiple of N=%d", p, n)
+		return nil, fmt.Errorf("core: P=%d not a multiple of N=%d", p, n)
 	}
-	img, offsets := buildEdgeImage(grid, ScheduleBlockOrder(p, n))
-	return img, offsets, nil
+	return edgeImageOffsets(grid, ScheduleBlockOrder(p, n)), nil
+}
+
+// edgeImageOffsets computes the start offset of every block (indexed by
+// block id = x·P + y) in an edge image that stores the blocks in order,
+// and the image size at index P²: a header plus the edges per block.
+func edgeImageOffsets(grid *partition.Grid, order []int) []int64 {
+	p := grid.P()
+	offsets := make([]int64, p*p+1)
+	var at int64
+	for _, b := range order {
+		offsets[b] = at
+		at += EdgeImageHeaderBytes + int64(grid.BlockLen(b/p, b%p))*graph.EdgeBytes
+	}
+	offsets[p*p] = at
+	return offsets
 }
 
 func buildEdgeImage(grid *partition.Grid, order []int) ([]byte, []int64) {
 	p := grid.P()
-	offsets := make([]int64, p*p+1)
-	size := int64(p*p)*EdgeImageHeaderBytes + int64(grid.NumEdges())*graph.EdgeBytes
-	img := make([]byte, 0, size)
+	offsets := edgeImageOffsets(grid, order)
+	img := make([]byte, 0, offsets[p*p])
 	u32 := func(v uint32) {
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], v)
@@ -92,7 +104,6 @@ func buildEdgeImage(grid *partition.Grid, order []int) ([]byte, []int64) {
 	}
 	for _, b := range order {
 		x, y := b/p, b%p
-		offsets[b] = int64(len(img))
 		blk := grid.Block(x, y)
 		u32(uint32(x))
 		u32(uint32(y))
@@ -102,7 +113,6 @@ func buildEdgeImage(grid *partition.Grid, order []int) ([]byte, []int64) {
 			u32(e.Dst)
 		}
 	}
-	offsets[p*p] = int64(len(img))
 	return img, offsets
 }
 
@@ -179,69 +189,6 @@ func (pe *parsedEdgeImage) NumEdges() int {
 		n += len(b)
 	}
 	return n
-}
-
-// BuildVertexImage serializes per-interval vertex values into the
-// vertex-memory byte image. values is indexed by vertex id.
-func BuildVertexImage(asg partition.Assigner, values []float64) ([]byte, []int64, error) {
-	if len(values) != asg.NumVertices() {
-		return nil, nil, fmt.Errorf("core: %d values for %d vertices", len(values), asg.NumVertices())
-	}
-	p := asg.P()
-	offsets := make([]int64, p+1)
-	var img []byte
-	u32 := func(v uint32) {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		img = append(img, b[:]...)
-	}
-	f64 := func(v float64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		img = append(img, b[:]...)
-	}
-	for i := 0; i < p; i++ {
-		offsets[i] = int64(len(img))
-		n := asg.IntervalLen(i)
-		u32(uint32(i))
-		u32(uint32(n))
-		for j := 0; j < n; j++ {
-			f64(values[asg.VertexAt(i, j)])
-		}
-	}
-	offsets[p] = int64(len(img))
-	return img, offsets, nil
-}
-
-// ParseVertexImage reconstructs per-vertex values from an image.
-func ParseVertexImage(img []byte, asg partition.Assigner) ([]float64, error) {
-	values := make([]float64, asg.NumVertices())
-	at := 0
-	for i := 0; i < asg.P(); i++ {
-		if at+VertexImageHeaderBytes > len(img) {
-			return nil, fmt.Errorf("core: vertex image truncated at interval %d", i)
-		}
-		idx := binary.LittleEndian.Uint32(img[at:])
-		n := binary.LittleEndian.Uint32(img[at+4:])
-		at += VertexImageHeaderBytes
-		if int(idx) != i {
-			return nil, fmt.Errorf("core: interval header %d where %d expected", idx, i)
-		}
-		if int(n) != asg.IntervalLen(i) {
-			return nil, fmt.Errorf("core: interval %d holds %d vertices, assigner says %d", i, n, asg.IntervalLen(i))
-		}
-		for j := 0; j < int(n); j++ {
-			if at+8 > len(img) {
-				return nil, fmt.Errorf("core: vertex image truncated in interval %d", i)
-			}
-			values[asg.VertexAt(i, j)] = math.Float64frombits(binary.LittleEndian.Uint64(img[at:]))
-			at += 8
-		}
-	}
-	if at != len(img) {
-		return nil, fmt.Errorf("core: %d trailing bytes in vertex image", len(img)-at)
-	}
-	return values, nil
 }
 
 // EdgeAddress returns the edge-memory byte address of block (x,y)'s

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/graph"
@@ -83,58 +84,6 @@ func TestEdgeImageRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestVertexImageRoundTrip(t *testing.T) {
-	g, asg, _ := imageFixture(t)
-	values := make([]float64, g.NumVertices)
-	rng := graph.NewRNG(5)
-	for v := range values {
-		values[v] = rng.Float64() * 100
-	}
-	img, offsets, err := BuildVertexImage(asg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSize := int64(8)*VertexImageHeaderBytes + int64(g.NumVertices)*8
-	if int64(len(img)) != wantSize {
-		t.Fatalf("image size %d, want %d", len(img), wantSize)
-	}
-	got, err := ParseVertexImage(img, asg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range values {
-		if got[v] != values[v] {
-			t.Fatalf("vertex %d: %v vs %v", v, got[v], values[v])
-		}
-	}
-	if offsets[8] != int64(len(img)) {
-		t.Fatalf("final offset %d != size %d", offsets[8], len(img))
-	}
-}
-
-func TestVertexImageValidation(t *testing.T) {
-	_, asg, _ := imageFixture(t)
-	if _, _, err := BuildVertexImage(asg, make([]float64, 3)); err == nil {
-		t.Error("wrong value count accepted")
-	}
-	values := make([]float64, asg.NumVertices())
-	img, _, err := BuildVertexImage(asg, values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseVertexImage(img[:10], asg); err == nil {
-		t.Error("truncated vertex image accepted")
-	}
-	corrupt := append([]byte(nil), img...)
-	corrupt[0] = 7 // wrong interval index
-	if _, err := ParseVertexImage(corrupt, asg); err == nil {
-		t.Error("corrupt interval header accepted")
-	}
-	if _, err := ParseVertexImage(append(img, 1), asg); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
 func TestEdgeAddressMapping(t *testing.T) {
 	_, _, grid := imageFixture(t)
 	img, offsets := BuildEdgeImage(grid)
@@ -185,10 +134,7 @@ func TestScheduleBlockOrderIsPermutation(t *testing.T) {
 
 func TestScheduledImageRoundTrip(t *testing.T) {
 	g, _, grid := imageFixture(t)
-	img, offsets, err := BuildEdgeImageScheduled(grid, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, offsets := buildEdgeImage(grid, ScheduleBlockOrder(8, 8))
 	parsed, err := ParseEdgeImage(img, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +160,38 @@ func TestScheduledImageRoundTrip(t *testing.T) {
 		}
 		prev = offsets[b]
 	}
-	if _, _, err := BuildEdgeImageScheduled(grid, 3); err == nil {
+	if _, err := scheduledEdgeOffsets(grid, 3); err == nil {
 		t.Error("P not multiple of N accepted")
+	}
+}
+
+// The trace and its check take block offsets computed without the
+// bytes: each must point at its own block's header in the serialized
+// image, in both layouts, and the last must be the image size.
+func TestEdgeImageOffsetsMatchBytes(t *testing.T) {
+	_, _, grid := imageFixture(t)
+	rowMajor, rowOffsets := BuildEdgeImage(grid)
+	scheduled, _ := buildEdgeImage(grid, ScheduleBlockOrder(8, 2))
+	schedOffsets, err := scheduledEdgeOffsets(grid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		img     []byte
+		offsets []int64
+	}{{"row-major", rowMajor, rowOffsets}, {"scheduled", scheduled, schedOffsets}} {
+		for b := 0; b < 64; b++ {
+			at := c.offsets[b]
+			x := binary.LittleEndian.Uint32(c.img[at:])
+			y := binary.LittleEndian.Uint32(c.img[at+4:])
+			n := binary.LittleEndian.Uint32(c.img[at+8:])
+			if int(x) != b/8 || int(y) != b%8 || int(n) != grid.BlockLen(b/8, b%8) {
+				t.Fatalf("%s: offset %d of block %d reads header (%d,%d,%d)", c.name, at, b, x, y, n)
+			}
+		}
+		if c.offsets[64] != int64(len(c.img)) {
+			t.Fatalf("%s: size %d, image is %d bytes", c.name, c.offsets[64], len(c.img))
+		}
 	}
 }

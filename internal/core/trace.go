@@ -82,7 +82,7 @@ func TraceIteration(cfg Config, w Workload, visit func(Access)) error {
 	}
 	// The production layout stores blocks in schedule order, so the
 	// traced edge reads form one sequential sweep per iteration.
-	_, edgeOffsets, err := BuildEdgeImageScheduled(s.grid, cfg.NumPUs)
+	edgeOffsets, err := scheduledEdgeOffsets(s.grid, cfg.NumPUs)
 	if err != nil {
 		return err
 	}
@@ -154,8 +154,8 @@ func TraceIteration(cfg Config, w Workload, visit func(Access)) error {
 }
 
 // vertexImageOffsets computes per-interval start offsets of a vertex
-// image with the given value width (BuildVertexImage uses 8-byte values;
-// the trace generalizes to the program's width).
+// image (image.go) holding values of the program's width, and the image
+// size at index P.
 func vertexImageOffsets(asg partition.Assigner, valueBytes int) []int64 {
 	p := asg.P()
 	offsets := make([]int64, p+1)

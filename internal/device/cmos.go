@@ -48,9 +48,3 @@ func (p *CMOSPU) Op() Cost {
 		Energy:  p.OpEnergy,
 	}
 }
-
-// UnpipelinedOp returns the cost of one isolated (non-overlapped)
-// operation.
-func (p *CMOSPU) UnpipelinedOp() Cost {
-	return Cost{Latency: p.OpLatency, Energy: p.OpEnergy}
-}

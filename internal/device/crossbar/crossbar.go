@@ -68,9 +68,6 @@ func New(p Params) (*Crossbar, error) {
 	return &Crossbar{p: p, gangs: p.ValueBits / p.CellBits}, nil
 }
 
-// Params returns the configured parameters.
-func (c *Crossbar) Params() Params { return c.p }
-
 // Gangs returns how many physical crossbars implement one full-precision
 // operation (GraphR: 4).
 func (c *Crossbar) Gangs() int { return c.gangs }
@@ -108,41 +105,4 @@ func (c *Crossbar) RowWiseOps() device.Cost {
 		Latency: c.p.ReadCost.Latency.Times(float64(c.p.Dim)),
 		Energy:  c.p.ReadCost.Energy.Times(float64(c.gangs) * float64(c.p.Dim)),
 	}
-}
-
-// ProcessBlockMVM is the full Eq. (14) block cost: program every edge,
-// then one ganged MVM read.
-func (c *Crossbar) ProcessBlockMVM(nEdges int) device.Cost {
-	if nEdges <= 0 {
-		return device.Cost{}
-	}
-	return c.ProgramBlock(nEdges).Plus(c.MVM())
-}
-
-// ProcessBlockRowWise is the non-MVM variant: program, then row-by-row
-// reads.
-func (c *Crossbar) ProcessBlockRowWise(nEdges int) device.Cost {
-	if nEdges <= 0 {
-		return device.Cost{}
-	}
-	return c.ProgramBlock(nEdges).Plus(c.RowWiseOps())
-}
-
-// PerEdgeEnergyMVM is Eq. (15): the equivalent energy of processing one
-// edge through the crossbar given the average block occupancy navg,
-// E = gangs·E_w + gangs·E_r/navg.
-func (c *Crossbar) PerEdgeEnergyMVM(navg float64) units.Energy {
-	if navg <= 0 {
-		return 0
-	}
-	g := float64(c.gangs)
-	return c.p.WriteCost.Energy.Times(g) + c.p.ReadCost.Energy.Times(g/navg)
-}
-
-// PerEdgeLatencyMVM is Eq. (16): T = T_w + T_r/navg.
-func (c *Crossbar) PerEdgeLatencyMVM(navg float64) units.Time {
-	if navg <= 0 {
-		return 0
-	}
-	return c.p.WriteCost.Latency + units.Time(float64(c.p.ReadCost.Latency)/navg)
 }

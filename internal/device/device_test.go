@@ -79,23 +79,22 @@ func TestLines(t *testing.T) {
 func TestCMOSPUPipelining(t *testing.T) {
 	pu := NewCMOSPU()
 	op := pu.Op()
-	unpiped := pu.UnpipelinedOp()
-	if op.Energy != unpiped.Energy {
+	if op.Energy != pu.OpEnergy {
 		t.Error("pipelining must not change per-op energy")
 	}
-	if op.Latency >= unpiped.Latency {
-		t.Errorf("pipelined issue interval %v not below op latency %v", op.Latency, unpiped.Latency)
+	if op.Latency >= pu.OpLatency {
+		t.Errorf("pipelined issue interval %v not below op latency %v", op.Latency, pu.OpLatency)
 	}
 	// Paper constants.
-	if unpiped.Latency != units.Time(18.783*float64(units.Nanosecond)) {
-		t.Errorf("op latency = %v, want 18.783ns", unpiped.Latency)
+	if pu.OpLatency != units.Time(18.783*float64(units.Nanosecond)) {
+		t.Errorf("op latency = %v, want 18.783ns", pu.OpLatency)
 	}
-	if unpiped.Energy != units.Energy(3.7) {
-		t.Errorf("op energy = %v, want 3.7pJ", unpiped.Energy)
+	if pu.OpEnergy != units.Energy(3.7) {
+		t.Errorf("op energy = %v, want 3.7pJ", pu.OpEnergy)
 	}
 	// Degenerate stage count falls back to unpipelined.
 	pu.PipelineStages = 0
-	if got := pu.Op(); got.Latency != unpiped.Latency {
-		t.Errorf("stages=0 Op latency = %v, want %v", got.Latency, unpiped.Latency)
+	if got := pu.Op(); got.Latency != pu.OpLatency {
+		t.Errorf("stages=0 Op latency = %v, want %v", got.Latency, pu.OpLatency)
 	}
 }

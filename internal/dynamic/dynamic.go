@@ -58,25 +58,17 @@ type HyVEStore struct {
 	Overflows     int64 // extents linked after block slack ran out
 	Repreprocess  int64 // full preprocessing passes forced by vertex growth
 	MovedLastEdge int64 // deletes that relocated a block's last edge
-	Compactions   int64 // maintenance passes that restored slack
 
 	// rec observes the store's *rare* structural events (overflow
-	// extents, forced re-preprocessing, compactions) — never the
-	// per-request fast path, so the Fig. 20 wall-clock measurement stays
-	// undisturbed. Defaults to the process-global recorder.
+	// extents, forced re-preprocessing) — never the per-request fast
+	// path, so the Fig. 20 wall-clock measurement stays undisturbed. It
+	// is the process-global recorder at construction.
 	rec obs.Recorder
 }
-
-// SetRecorder replaces the store's metrics sink (nil restores the
-// no-op).
-func (s *HyVEStore) SetRecorder(r obs.Recorder) { s.rec = obs.OrNop(r) }
 
 type dynBlock struct {
 	edges    []graph.Edge
 	reserved int // slots available before overflow, including live edges
-	// overflowed marks blocks that outgrew their reserved space since
-	// the last compaction (they carry linked extents).
-	overflowed bool
 }
 
 type slotRef struct {
@@ -207,7 +199,6 @@ func (s *HyVEStore) AddEdge(e graph.Edge) (int, error) {
 		// original block").
 		grow := blk.reserved/2 + 4
 		blk.reserved += grow
-		blk.overflowed = true
 		s.Overflows++
 		s.rec.Count("dynamic.overflows", 1)
 	}
@@ -287,9 +278,6 @@ func (s *HyVEStore) NumEdges() int64 { return s.liveEdges }
 // NumVertices returns the current vertex-space size.
 func (s *HyVEStore) NumVertices() int { return s.numVertices }
 
-// Invalid reports whether v has been deleted.
-func (s *HyVEStore) Invalid(v graph.VertexID) bool { return s.invalid[v] }
-
 // Edges returns a snapshot of all live edges (test support).
 func (s *HyVEStore) Edges() []graph.Edge {
 	out := make([]graph.Edge, 0, s.liveEdges)
@@ -297,37 +285,4 @@ func (s *HyVEStore) Edges() []graph.Edge {
 		out = append(out, s.blocks[i].edges...)
 	}
 	return out
-}
-
-// Compact rebuilds every block's storage with fresh reserved slack (the
-// §5 maintenance pass a host runs when overflow extents accumulate:
-// overflowed blocks are re-laid-out contiguously so the edge stream is
-// sequential again). Live edges, their order, and the index survive;
-// the overflow counter resets.
-func (s *HyVEStore) Compact() {
-	for b := range s.blocks {
-		blk := &s.blocks[b]
-		reserved := len(blk.edges) + int(float64(len(blk.edges))*s.slack) + 4
-		edges := make([]graph.Edge, len(blk.edges), reserved)
-		copy(edges, blk.edges)
-		blk.edges = edges
-		blk.reserved = reserved
-		blk.overflowed = false
-	}
-	s.Overflows = 0
-	s.Compactions++
-	s.rec.Count("dynamic.compactions", 1)
-}
-
-// OverflowedBlocks counts blocks carrying linked overflow extents since
-// the last compaction — the fragmentation measure a host would watch to
-// schedule Compact.
-func (s *HyVEStore) OverflowedBlocks() int {
-	n := 0
-	for b := range s.blocks {
-		if s.blocks[b].overflowed {
-			n++
-		}
-	}
-	return n
 }

@@ -155,7 +155,7 @@ func TestDeleteVertexMarksInvalid(t *testing.T) {
 	if _, err := s.DeleteVertex(5); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Invalid(5) || s.Invalid(6) {
+	if !s.invalid[5] || s.invalid[6] {
 		t.Error("invalid marking wrong")
 	}
 	if _, err := s.DeleteVertex(graph.VertexID(s.NumVertices() + 100)); err == nil {
@@ -335,51 +335,5 @@ func TestRequestKindStrings(t *testing.T) {
 	}
 	if RequestKind(9).String() == "" {
 		t.Error("unknown kind string empty")
-	}
-}
-
-func TestCompactRestoresSlackAndPreservesEdges(t *testing.T) {
-	g := testGraph(t)
-	s := newHyVE(t, g)
-	// Force overflows.
-	e := graph.Edge{Src: 0, Dst: 8}
-	for i := 0; i < 5000; i++ {
-		if _, err := s.AddEdge(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Overflows == 0 {
-		t.Fatal("expected overflows before compaction")
-	}
-	if s.OverflowedBlocks() == 0 {
-		t.Fatal("no block marked overflowed")
-	}
-	before := edgeMultiset(s.Edges())
-	s.Compact()
-	if s.OverflowedBlocks() != 0 {
-		t.Error("compaction left overflowed blocks")
-	}
-	if s.Overflows != 0 || s.Compactions != 1 {
-		t.Errorf("compaction bookkeeping wrong: %d overflows, %d compactions", s.Overflows, s.Compactions)
-	}
-	after := edgeMultiset(s.Edges())
-	for k, n := range before {
-		if after[k] != n {
-			t.Fatalf("edge %v count changed across Compact", k)
-		}
-	}
-	// The index must still resolve deletes after compaction.
-	for i := 0; i < 5000; i++ {
-		if n, err := s.DeleteEdge(e); err != nil || n != 1 {
-			t.Fatalf("delete %d after compaction failed: n=%d err=%v", i, n, err)
-		}
-	}
-	// Fresh slack absorbs new inserts without immediate overflow.
-	s.Compact()
-	if _, err := s.AddEdge(e); err != nil {
-		t.Fatal(err)
-	}
-	if s.Overflows != 0 {
-		t.Error("single insert after compaction should not overflow")
 	}
 }

@@ -115,17 +115,6 @@ func (b *Breakdown) AddAll(o *Breakdown) {
 	}
 }
 
-// Scale multiplies every component by f (used to extrapolate one
-// measured iteration to a full run). f must be non-negative.
-func (b *Breakdown) Scale(f float64) {
-	if f < 0 {
-		panic("energy: negative scale factor")
-	}
-	for i := range b.by {
-		b.by[i] = b.by[i].Times(f)
-	}
-}
-
 // String renders the breakdown largest-first.
 func (b *Breakdown) String() string {
 	type row struct {

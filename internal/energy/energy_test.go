@@ -71,7 +71,6 @@ func TestAddPanicsOnBadInput(t *testing.T) {
 	for _, fn := range []func(){
 		func() { b.Add(Component(99), 1) },
 		func() { b.Add(Logic, -1) },
-		func() { b.Scale(-1) },
 	} {
 		func() {
 			defer func() {
@@ -91,7 +90,7 @@ func TestGetOutOfRange(t *testing.T) {
 	}
 }
 
-func TestAddAllAndScale(t *testing.T) {
+func TestAddAll(t *testing.T) {
 	var a, b Breakdown
 	a.Add(Logic, 10)
 	b.Add(Logic, 5)
@@ -99,10 +98,6 @@ func TestAddAllAndScale(t *testing.T) {
 	a.AddAll(&b)
 	if a.Get(Logic) != 15 || a.Get(Router) != 7 {
 		t.Errorf("AddAll wrong: %v", &a)
-	}
-	a.Scale(2)
-	if a.Get(Logic) != 30 || a.Get(Router) != 14 {
-		t.Errorf("Scale wrong: %v", &a)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // §2.3), or implicitly (BPG idle timeout, router reroute cost).
 
 // runAblationInterleave settles §3.1's interleaving argument with the
-// discrete-event channel model: bank vs subbank interleaving at equal
+// request-level channel model: bank vs subbank interleaving at equal
 // port provisioning — same bandwidth, very different awake-bank time.
 func runAblationInterleave(w io.Writer, opt Options) error {
 	fmt.Fprintln(w, "Ablation: edge-memory interleaving policy (§3.1)")

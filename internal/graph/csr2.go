@@ -46,15 +46,6 @@ func (c *CompressedCSR) numBlocks() int {
 	return (c.numVerts + c.blockVerts - 1) / c.blockVerts
 }
 
-// AppendNeighbors appends the out-neighbors of v to buf and returns it.
-// For repeated queries over ascending v prefer a NeighborSeeker, which
-// keeps its position instead of re-decoding the block prefix.
-func (c *CompressedCSR) AppendNeighbors(v VertexID, buf []VertexID) []VertexID {
-	var s NeighborSeeker
-	s.Init(c)
-	return s.Append(v, buf)
-}
-
 // NeighborSeeker is a stateful cursor over a CompressedCSR: Seek/Append
 // on ascending vertex ids within a block resume from the cursor's
 // current position, so a full ascending sweep decodes each varint

@@ -55,11 +55,6 @@ func (d Dataset) GenVertices() int { return int(d.FullVertices / int64(d.Scale))
 // GenEdges is the edge count of the generated (down-scaled) instance.
 func (d Dataset) GenEdges() int { return int(d.FullEdges / int64(d.Scale)) }
 
-// AvgDegree is |E|/|V|, identical for full and generated instances.
-func (d Dataset) AvgDegree() float64 {
-	return float64(d.FullEdges) / float64(d.FullVertices)
-}
-
 // Generate materializes the synthetic instance of the dataset.
 func (d Dataset) Generate() (*Graph, error) {
 	return GenerateRMAT(d.GenVertices(), d.GenEdges(), d.RMAT, d.Seed)

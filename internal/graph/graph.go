@@ -11,7 +11,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -39,8 +38,8 @@ const EdgeBytes = 8
 // graph (a state, a partition, a degree query), Edges, Weights and
 // NumVertices must not change. Dynamic-graph workloads (internal/dynamic)
 // snapshot into fresh Graphs instead of mutating one in place. Memo
-// relies on this contract; SortEdges and AttachUniformWeights are
-// generation-time steps that run before the graph is shared.
+// relies on this contract; AttachUniformWeights is a generation-time
+// step that runs before the graph is shared.
 //
 // Memo stores values derived from the graph's content on the instance
 // itself — out-degrees, the content digest, functional run summaries,
@@ -185,15 +184,6 @@ func (g *Graph) Memo(key any, build func() (any, error)) (any, error) {
 	return e.v, e.err
 }
 
-// InDegrees returns the in-degree of every vertex.
-func (g *Graph) InDegrees() []uint32 {
-	deg := make([]uint32, g.NumVertices)
-	for _, e := range g.Edges {
-		deg[e.Dst]++
-	}
-	return deg
-}
-
 // Clone returns a deep copy of the graph. Container provenance (the
 // prepared-grid payload) is not copied: a clone is about to be mutated
 // (e.g. AttachUniformWeights), which would desynchronize it from the
@@ -204,35 +194,6 @@ func (g *Graph) Clone() *Graph {
 		c.Weights = append([]float32(nil), g.Weights...)
 	}
 	return c
-}
-
-// SortEdges orders edges by (Src, Dst), the canonical layout for
-// edge-centric frameworks that "sorted the edges to improve data
-// locality" (paper §2.1). Weights, if present, follow their edges.
-func (g *Graph) SortEdges() {
-	if g.Weights == nil {
-		sort.Slice(g.Edges, func(i, j int) bool { return edgeLess(g.Edges[i], g.Edges[j]) })
-		return
-	}
-	idx := make([]int, len(g.Edges))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return edgeLess(g.Edges[idx[i]], g.Edges[idx[j]]) })
-	edges := make([]Edge, len(g.Edges))
-	weights := make([]float32, len(g.Weights))
-	for to, from := range idx {
-		edges[to] = g.Edges[from]
-		weights[to] = g.Weights[from]
-	}
-	g.Edges, g.Weights = edges, weights
-}
-
-func edgeLess(a, b Edge) bool {
-	if a.Src != b.Src {
-		return a.Src < b.Src
-	}
-	return a.Dst < b.Dst
 }
 
 // ErrEmptyGraph is returned by operations that need at least one vertex.

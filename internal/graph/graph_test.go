@@ -37,15 +37,10 @@ func TestValidate(t *testing.T) {
 func TestDegrees(t *testing.T) {
 	g := &Graph{NumVertices: 4, Edges: []Edge{{0, 1}, {0, 2}, {1, 2}, {3, 3}}}
 	out := g.OutDegrees()
-	in := g.InDegrees()
 	wantOut := []uint32{2, 1, 0, 1}
-	wantIn := []uint32{0, 1, 2, 1}
 	for v := range wantOut {
 		if out[v] != wantOut[v] {
 			t.Errorf("out-degree(%d) = %d, want %d", v, out[v], wantOut[v])
-		}
-		if in[v] != wantIn[v] {
-			t.Errorf("in-degree(%d) = %d, want %d", v, in[v], wantIn[v])
 		}
 	}
 }
@@ -68,25 +63,6 @@ func TestCloneIsDeep(t *testing.T) {
 	c.Weights[0] = 9
 	if g.Edges[0] != (Edge{0, 1}) || g.Weights[0] != 1 {
 		t.Error("Clone shares storage with original")
-	}
-}
-
-func TestSortEdges(t *testing.T) {
-	g := &Graph{
-		NumVertices: 4,
-		Edges:       []Edge{{2, 1}, {0, 3}, {2, 0}, {0, 1}},
-		Weights:     []float32{21, 3, 20, 1},
-	}
-	g.SortEdges()
-	want := []Edge{{0, 1}, {0, 3}, {2, 0}, {2, 1}}
-	wantW := []float32{1, 3, 20, 21}
-	for i := range want {
-		if g.Edges[i] != want[i] {
-			t.Errorf("edge %d = %v, want %v", i, g.Edges[i], want[i])
-		}
-		if g.Weights[i] != wantW[i] {
-			t.Errorf("weight %d = %v, want %v (weights must follow edges)", i, g.Weights[i], wantW[i])
-		}
 	}
 }
 
@@ -369,21 +345,6 @@ func TestGiniBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	// degrees: v0=3 (bucket 2: [2,4)), v1=1 (bucket 1), v2=0 (bucket 0)
-	g := &Graph{NumVertices: 3, Edges: []Edge{{0, 1}, {0, 2}, {0, 0}, {1, 2}}}
-	h := DegreeHistogram(g)
-	want := []int{1, 1, 1}
-	if len(h) != len(want) {
-		t.Fatalf("hist = %v, want %v", h, want)
-	}
-	for i := range want {
-		if h[i] != want[i] {
-			t.Fatalf("hist = %v, want %v", h, want)
-		}
 	}
 }
 

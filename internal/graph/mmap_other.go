@@ -8,7 +8,7 @@ import (
 )
 
 // MapFile is unsupported on this platform; callers fall back to
-// streaming reads (OpenV2 → ReadV2, StreamBuild → heap readback).
+// streaming reads (OpenV2 → ReadV2).
 func MapFile(f *os.File) ([]byte, func() error, error) {
 	return nil, nil, errors.ErrUnsupported
 }

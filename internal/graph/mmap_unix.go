@@ -11,8 +11,7 @@ import (
 // MapFile maps f read-only and returns the mapping plus its unmap
 // function. The mapping outlives f (closing the file descriptor does
 // not tear down an established mapping), so callers may close f
-// immediately. Errors fall back to streaming reads in OpenV2 and
-// partition.StreamBuild.
+// immediately. Errors fall back to streaming reads in OpenV2.
 func MapFile(f *os.File) ([]byte, func() error, error) {
 	st, err := f.Stat()
 	if err != nil {

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Stats summarizes the structural properties that drive the paper's
 // results: size, degree skew, and locality proxies.
@@ -70,25 +67,4 @@ func gini(xs []int) float64 {
 	}
 	n := float64(len(sorted))
 	return (2*weighted - (n+1)*cum) / (n * cum)
-}
-
-// DegreeHistogram returns counts of vertices per log2 out-degree bucket:
-// bucket[0] holds degree 0, bucket[k] holds degrees in [2^(k-1), 2^k).
-func DegreeHistogram(g *Graph) []int {
-	deg := g.OutDegrees()
-	var hist []int
-	bump := func(b int) {
-		for len(hist) <= b {
-			hist = append(hist, 0)
-		}
-		hist[b]++
-	}
-	for _, d := range deg {
-		if d == 0 {
-			bump(0)
-			continue
-		}
-		bump(1 + int(math.Floor(math.Log2(float64(d)))))
-	}
-	return hist
 }

@@ -93,7 +93,7 @@ func CheckModelVsEmulation(cfg Config, w core.Workload) error {
 	// Functional fidelity: run PageRank through the quantized crossbar
 	// emulation at the published 16-bit/4-cell geometry and require the
 	// analog path to track the exact ranks.
-	if pr, ok := w.Program.(*algo.PageRank); ok && cfg.BlockDim == 8 && pr.Warm == nil {
+	if pr, ok := w.Program.(*algo.PageRank); ok && cfg.BlockDim == 8 {
 		q, err := NewQuantizer(16, 4, 1)
 		if err != nil {
 			return err

@@ -9,7 +9,7 @@ import (
 )
 
 // This file simulates the edge-memory channel at request level to settle
-// the paper's §3.1 interleaving argument with a discrete-event model:
+// the paper's §3.1 interleaving argument with a request-level FIFO model:
 //
 //	"Similar to bank interleaving, subbank-level interleaving utilizes
 //	 independent mats to improve sequential bandwidth … for the edge
@@ -117,7 +117,7 @@ func (r StreamResult) AwakeBankTime() units.Time {
 }
 
 // SimulateStream runs `lines` sequential line reads through the channel
-// under the policy, event by event.
+// under the policy, request by request.
 func SimulateStream(cfg ChannelConfig, policy InterleavePolicy, lines int64) (StreamResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return StreamResult{}, err
@@ -125,18 +125,13 @@ func SimulateStream(cfg ChannelConfig, policy InterleavePolicy, lines int64) (St
 	if lines <= 0 {
 		return StreamResult{}, fmt.Errorf("mem: non-positive line count %d", lines)
 	}
-	eng := sim.New(0)
 	// One resource per subbank (array), one port per bank, one shared
 	// channel bus.
-	arrays := make([][]*sim.Resource, cfg.Banks)
-	ports := make([]*sim.Resource, cfg.Banks)
-	channel := sim.NewResource(eng)
+	arrays := make([][]sim.Resource, cfg.Banks)
+	ports := make([]sim.Resource, cfg.Banks)
+	var channel sim.Resource
 	for b := range arrays {
-		ports[b] = sim.NewResource(eng)
-		arrays[b] = make([]*sim.Resource, cfg.Subbanks)
-		for s := range arrays[b] {
-			arrays[b][s] = sim.NewResource(eng)
-		}
+		arrays[b] = make([]sim.Resource, cfg.Subbanks)
 	}
 
 	mapLine := func(i int64) (bank, subbank int) {
@@ -176,9 +171,6 @@ func SimulateStream(cfg ChannelConfig, policy InterleavePolicy, lines int64) (St
 			last[bank] = portEnd
 		}
 		touched[bank] = true
-	}
-	if _, err := eng.Run(); err != nil {
-		return StreamResult{}, err
 	}
 
 	res := StreamResult{Policy: policy, Lines: lines, Duration: finish}

@@ -3,7 +3,6 @@ package obs
 import (
 	"expvar"
 	"sync"
-	"time"
 
 	"repro/internal/units"
 )
@@ -11,7 +10,7 @@ import (
 // Expvar returns the process-wide expvar-backed Recorder, publishing
 // everything under the single expvar map "hyve" (visible at
 // /debug/vars once a driver serves net/http/pprof). Counters publish
-// as integers; gauges and timers as floats; phase times in seconds
+// as integers; gauges as floats; phase times in seconds
 // (key suffix "_s") and energies in joules (key suffix "_j"), so the
 // endpoint shows human-scale numbers.
 //
@@ -73,11 +72,4 @@ func (r *expvarRecorder) PhaseTime(phase string, t units.Time) {
 
 func (r *expvarRecorder) PhaseEnergy(component string, e units.Energy) {
 	r.m.AddFloat(suffixed(&r.jouleNames, component, "_j"), e.Joules())
-}
-
-func (r *expvarRecorder) Timer(name string) func() {
-	start := time.Now()
-	return func() {
-		r.m.AddFloat(suffixed(&r.secNames, name, "_s"), time.Since(start).Seconds())
-	}
 }

@@ -345,8 +345,6 @@ func TestPromRoundTrip(t *testing.T) {
 	r.Observe("cache.exec.seconds", 0.25)
 	r.Observe("cache.exec.seconds", 2.0)
 	r.Observe(WithLabel("check.invariant.seconds", "invariant", "edp model"), 0.125)
-	done := r.Timer("warm.up")
-	done()
 
 	var b bytes.Buffer
 	if err := WriteProm(&b, r.Snapshot()); err != nil {
@@ -477,14 +475,12 @@ func TestMultiRecorderFanOut(t *testing.T) {
 	m.PhaseTime("p", units.Time(1e12))
 	m.PhaseEnergy("e", units.Energy(1e12))
 	Observe(m, "h.seconds", 0.25)
-	done := m.Timer("t")
-	done()
 	for name, reg := range map[string]*Registry{"a": a, "b": b} {
 		s := reg.Snapshot()
 		if len(s.Counters) != 1 || s.Counters[0].Value != 2 {
 			t.Errorf("%s: counter not fanned out: %+v", name, s.Counters)
 		}
-		if len(s.Gauges) != 1 || len(s.Phases) != 1 || len(s.Energies) != 1 || len(s.Timers) != 1 {
+		if len(s.Gauges) != 1 || len(s.Phases) != 1 || len(s.Energies) != 1 {
 			t.Errorf("%s: missing fanned-out series: %+v", name, s)
 		}
 		if len(s.Histograms) != 1 || s.Histograms[0].Count != 1 {

@@ -200,14 +200,6 @@ func (r *Registry) Observe(name string, v float64) {
 	h.Observe(v)
 }
 
-// Hist returns the named histogram, or nil if nothing was observed
-// under that name.
-func (r *Registry) Hist(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hists[name]
-}
-
 // WithLabel attaches a label to a metric name using the "|k=v"
 // convention: the base name stays a dot-separated path, and renderers
 // that understand labels (the Prometheus exposition) split the suffix

@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the simulator stack:
 // structured metrics (counters, gauges, per-phase simulated time,
-// per-component energy, host wall-clock timers), a Chrome trace_event
+// per-component energy, host wall-clock histograms), a Chrome trace_event
 // timeline exporter, and canonical machine-readable run artifacts.
 //
 // The package is zero-dependency (stdlib only, plus internal/units) and
@@ -14,7 +14,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/units"
 )
@@ -36,18 +35,11 @@ type Recorder interface {
 	PhaseTime(phase string, t units.Time)
 	// PhaseEnergy accumulates energy under the named component.
 	PhaseEnergy(component string, e units.Energy)
-	// Timer starts a host wall-clock timer; calling the returned stop
-	// function records the elapsed time under name.
-	Timer(name string) func()
 }
 
 // Nop is the disabled Recorder: every method is a no-op, allocates
 // nothing, and takes no locks. The zero value is ready to use.
 type Nop struct{}
-
-// nopStop is the shared stop function Timer returns; keeping it a
-// package variable means Nop.Timer never closes over anything.
-var nopStop = func() {}
 
 // Count implements Recorder.
 func (Nop) Count(string, int64) {}
@@ -60,9 +52,6 @@ func (Nop) PhaseTime(string, units.Time) {}
 
 // PhaseEnergy implements Recorder.
 func (Nop) PhaseEnergy(string, units.Energy) {}
-
-// Timer implements Recorder.
-func (Nop) Timer(string) func() { return nopStop }
 
 // OrNop returns r, or the no-op Recorder when r is nil — the idiom
 // every integration point uses so callers never branch on nil.
@@ -106,7 +95,6 @@ type Registry struct {
 	gauges   map[string]float64
 	phases   map[string]units.Time
 	energies map[string]units.Energy
-	timers   map[string]time.Duration
 	hists    map[string]*Histogram
 }
 
@@ -117,7 +105,6 @@ func NewRegistry() *Registry {
 		gauges:   map[string]float64{},
 		phases:   map[string]units.Time{},
 		energies: map[string]units.Energy{},
-		timers:   map[string]time.Duration{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -148,17 +135,6 @@ func (r *Registry) PhaseEnergy(component string, e units.Energy) {
 	r.mu.Lock()
 	r.energies[component] += e
 	r.mu.Unlock()
-}
-
-// Timer implements Recorder.
-func (r *Registry) Timer(name string) func() {
-	start := time.Now()
-	return func() {
-		d := time.Since(start)
-		r.mu.Lock()
-		r.timers[name] += d
-		r.mu.Unlock()
-	}
 }
 
 // Counter returns the named counter's current value.
@@ -196,7 +172,6 @@ type Snapshot struct {
 	Gauges     []GaugeSample     `json:"gauges,omitempty"`
 	Phases     []PhaseSample     `json:"phases,omitempty"`
 	Energies   []EnergySample    `json:"energies,omitempty"`
-	Timers     []TimerSample     `json:"timers,omitempty"`
 	Histograms []HistogramSample `json:"histograms,omitempty"`
 }
 
@@ -224,12 +199,6 @@ type EnergySample struct {
 	EnergyPJ float64 `json:"energy_pj"`
 }
 
-// TimerSample is one wall-clock timer in a Snapshot.
-type TimerSample struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-}
-
 // Snapshot returns a sorted copy of everything recorded so far.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
@@ -247,9 +216,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, v := range r.energies {
 		s.Energies = append(s.Energies, EnergySample{n, float64(v)})
 	}
-	for n, v := range r.timers {
-		s.Timers = append(s.Timers, TimerSample{n, v.Seconds()})
-	}
 	for n, h := range r.hists {
 		s.Histograms = append(s.Histograms, h.Sample(n))
 	}
@@ -257,7 +223,6 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Phases, func(i, j int) bool { return s.Phases[i].Name < s.Phases[j].Name })
 	sort.Slice(s.Energies, func(i, j int) bool { return s.Energies[i].Name < s.Energies[j].Name })
-	sort.Slice(s.Timers, func(i, j int) bool { return s.Timers[i].Name < s.Timers[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
@@ -299,18 +264,6 @@ func (m multiRecorder) PhaseTime(phase string, t units.Time) {
 func (m multiRecorder) PhaseEnergy(component string, e units.Energy) {
 	for _, r := range m {
 		r.PhaseEnergy(component, e)
-	}
-}
-
-func (m multiRecorder) Timer(name string) func() {
-	stops := make([]func(), len(m))
-	for i, r := range m {
-		stops[i] = r.Timer(name)
-	}
-	return func() {
-		for _, stop := range stops {
-			stop()
-		}
 	}
 }
 

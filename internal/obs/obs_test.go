@@ -19,7 +19,6 @@ func TestNopZeroAlloc(t *testing.T) {
 		"Gauge":       func() { r.Gauge("x", 1) },
 		"PhaseTime":   func() { r.PhaseTime("x", units.Nanosecond) },
 		"PhaseEnergy": func() { r.PhaseEnergy("x", 1) },
-		"Timer":       func() { r.Timer("x")() },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
@@ -65,7 +64,6 @@ func TestRegistryAccumulatesAndSnapshots(t *testing.T) {
 	r.PhaseTime("load", 10*units.Nanosecond)
 	r.PhaseTime("load", 5*units.Nanosecond)
 	r.PhaseEnergy("edge", 7)
-	r.Timer("t")()
 
 	if got := r.Counter("b.count"); got != 5 {
 		t.Errorf("Counter(b.count) = %d, want 5", got)
@@ -84,9 +82,6 @@ func TestRegistryAccumulatesAndSnapshots(t *testing.T) {
 	wantCounters := []CounterValue{{"a.count", 1}, {"b.count", 5}}
 	if !reflect.DeepEqual(s.Counters, wantCounters) {
 		t.Errorf("Snapshot counters = %v, want sorted %v", s.Counters, wantCounters)
-	}
-	if len(s.Timers) != 1 || s.Timers[0].Name != "t" || s.Timers[0].Seconds < 0 {
-		t.Errorf("Snapshot timers = %v", s.Timers)
 	}
 }
 
@@ -197,5 +192,4 @@ func TestExpvarRecorder(t *testing.T) {
 	r.Count("test.counter", 2)
 	r.Gauge("test.gauge", 1.25)
 	r.PhaseTime("test.phase", units.Second)
-	r.Timer("test.timer")()
 }

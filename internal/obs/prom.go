@@ -24,7 +24,6 @@ import (
 //	                                 → hyve_parallel_worker_utilization{worker="3"}
 //	phase    "sim.phase.load"        → hyve_sim_phase_load_seconds_total   (simulated seconds)
 //	energy   "sim.energy.edge-memory"→ hyve_sim_energy_edge_memory_joules_total
-//	timer    "x"                     → hyve_x_seconds_total                (wall seconds)
 //	histogram "cache.exec.seconds"   → hyve_cache_exec_seconds{_bucket,_sum,_count}
 
 // PromPrefix is the namespace every exposed series carries.
@@ -184,9 +183,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	}
 	for _, e := range s.Energies {
 		add(e.Name, "counter", "_joules_total", e.EnergyPJ*1e-12)
-	}
-	for _, t := range s.Timers {
-		add(t.Name, "counter", "_seconds_total", t.Seconds)
 	}
 	for _, h := range s.Histograms {
 		base, labels := splitLabels(h.Name)

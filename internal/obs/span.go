@@ -336,32 +336,14 @@ func (b *TraceBuffer) WriteJSONL(w io.Writer) error {
 // document types. Span ids and parents ride in args.
 func (b *TraceBuffer) Catapult(processName string) CatapultTrace {
 	spans := b.Snapshot()
-	var tl Timeline
+	var tl Timeline // numbers the tracks in first-use order
+	events := make([]CatapultEvent, 0, len(spans))
 	for _, s := range spans {
 		track := s.Track
 		if track == "" {
 			track = s.Name
 		}
 		tl.Track(track)
-	}
-	events := make([]CatapultEvent, 0, 2*len(tl.tracks)+len(spans)+1)
-	events = append(events, CatapultEvent{
-		Name: "process_name", Ph: "M", PID: 1, TID: 0,
-		Args: map[string]any{"name": processName},
-	})
-	for tid, track := range tl.tracks {
-		events = append(events,
-			CatapultEvent{Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-				Args: map[string]any{"name": track}},
-			CatapultEvent{Name: "thread_sort_index", Ph: "M", PID: 1, TID: tid,
-				Args: map[string]any{"sort_index": tid}},
-		)
-	}
-	for _, s := range spans {
-		track := s.Track
-		if track == "" {
-			track = s.Name
-		}
 		dur := s.DurUS
 		args := map[string]any{"id": s.ID, "cat": s.Cat}
 		if s.Parent != 0 {
@@ -376,7 +358,7 @@ func (b *TraceBuffer) Catapult(processName string) CatapultTrace {
 			PID: 1, TID: tl.trackN[track], Args: args,
 		})
 	}
-	return CatapultTrace{TraceEvents: events, DisplayTimeUnit: "ns"}
+	return catapultDoc(processName, tl.tracks, events)
 }
 
 // WriteCatapult writes the Chrome trace_event JSON document.

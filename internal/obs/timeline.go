@@ -108,19 +108,7 @@ func psToUS(t units.Time) float64 { return float64(t) / 1e6 }
 // in insertion order. The output is deterministic for a deterministic
 // span sequence (map-valued args marshal with sorted keys).
 func (tl *Timeline) Catapult(processName string) CatapultTrace {
-	events := make([]CatapultEvent, 0, 2*len(tl.tracks)+len(tl.spans)+1)
-	events = append(events, CatapultEvent{
-		Name: "process_name", Ph: "M", PID: 1, TID: 0,
-		Args: map[string]any{"name": processName},
-	})
-	for tid, track := range tl.tracks {
-		events = append(events,
-			CatapultEvent{Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-				Args: map[string]any{"name": track}},
-			CatapultEvent{Name: "thread_sort_index", Ph: "M", PID: 1, TID: tid,
-				Args: map[string]any{"sort_index": tid}},
-		)
-	}
+	events := make([]CatapultEvent, 0, len(tl.spans))
 	for _, s := range tl.spans {
 		dur := psToUS(s.Dur)
 		events = append(events, CatapultEvent{
@@ -129,7 +117,28 @@ func (tl *Timeline) Catapult(processName string) CatapultTrace {
 			PID: 1, TID: tl.trackN[s.Track], Args: s.Args,
 		})
 	}
-	return CatapultTrace{TraceEvents: events, DisplayTimeUnit: "ns"}
+	return catapultDoc(processName, tl.tracks, events)
+}
+
+// catapultDoc assembles a trace document for one process: its
+// process_name record, then thread_name and thread_sort_index metadata
+// for every track (the track's index is its tid, pinning the display
+// order), then events as given.
+func catapultDoc(processName string, tracks []string, events []CatapultEvent) CatapultTrace {
+	out := make([]CatapultEvent, 0, 2*len(tracks)+len(events)+1)
+	out = append(out, CatapultEvent{
+		Name: "process_name", Ph: "M", PID: 1, TID: 0,
+		Args: map[string]any{"name": processName},
+	})
+	for tid, track := range tracks {
+		out = append(out,
+			CatapultEvent{Name: "thread_name", Ph: "M", PID: 1, TID: tid,
+				Args: map[string]any{"name": track}},
+			CatapultEvent{Name: "thread_sort_index", Ph: "M", PID: 1, TID: tid,
+				Args: map[string]any{"sort_index": tid}},
+		)
+	}
+	return CatapultTrace{TraceEvents: append(out, events...), DisplayTimeUnit: "ns"}
 }
 
 // WriteCatapult writes the catapult JSON document to w.

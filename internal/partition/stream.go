@@ -410,167 +410,3 @@ func StreamGridInto(w *graph.V2Writer, g *graph.Graph, a Assigner, opt StreamOpt
 	}
 	return nil
 }
-
-// StreamBuild builds the same Grid as BuildParallel with transient
-// memory bounded by opt.BudgetBytes: the block-major stream is written
-// to a temp file and mapped back, so the result's edge storage is
-// file-backed (evictable under memory pressure) rather than heap. The
-// returned closer releases the mapping and deletes the file; the Grid
-// must not be used after closing. Hosts without mmap read the file back
-// into heap slices (closer still deletes the file).
-func StreamBuild(g *graph.Graph, a Assigner, opt StreamOptions) (*Grid, func() error, error) {
-	f, err := os.CreateTemp(opt.TmpDir, "hyve-stream-*.grid")
-	if err != nil {
-		return nil, nil, err
-	}
-	fail := func(err error) (*Grid, func() error, error) {
-		f.Close()
-		os.Remove(f.Name())
-		return nil, nil, err
-	}
-
-	weighted := g.Weights != nil
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var wbytes int64
-	var buf []byte
-	// Layout in the temp file: all edges (8 B each), then all weights
-	// (4 B each). Weights are buffered per emit chunk after the edge
-	// region is known-sized? They are not — so spool weights in memory
-	// per chunk is wrong. Use a second file for weights instead.
-	var wf *os.File
-	var wbw *bufio.Writer
-	if weighted {
-		wf, err = os.CreateTemp(opt.TmpDir, "hyve-stream-*.gridw")
-		if err != nil {
-			return fail(err)
-		}
-		wbw = bufio.NewWriterSize(wf, 1<<20)
-	}
-	failw := func(err error) (*Grid, func() error, error) {
-		if wf != nil {
-			wf.Close()
-			os.Remove(wf.Name())
-		}
-		return fail(err)
-	}
-
-	emit := func(edges []graph.Edge, weights []float32) error {
-		buf = buf[:0]
-		for _, e := range edges {
-			buf = binary.LittleEndian.AppendUint32(buf, e.Src)
-			buf = binary.LittleEndian.AppendUint32(buf, e.Dst)
-		}
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-		if weighted {
-			buf = buf[:0]
-			for _, wt := range weights {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(wt))
-			}
-			wbytes += int64(len(buf))
-			if _, err := wbw.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	offsets, err := streamGrid(g, a, opt, emit)
-	if err != nil {
-		return failw(err)
-	}
-	if err := bw.Flush(); err != nil {
-		return failw(err)
-	}
-	if weighted {
-		if err := wbw.Flush(); err != nil {
-			return failw(err)
-		}
-	}
-
-	edges, eclose, err := mapOrRead(f, func(b []byte) ([]graph.Edge, bool) { return graph.EdgesFromBytes(b) }, decodeEdgeBytes)
-	if err != nil {
-		return failw(err)
-	}
-	var weights []float32
-	wclose := func() error { return nil }
-	if weighted {
-		weights, wclose, err = mapOrRead(wf, func(b []byte) ([]float32, bool) { return graph.Float32sFromBytes(b) }, decodeWeightBytes)
-		if err != nil {
-			eclose()
-			return failw(err)
-		}
-	}
-
-	gr, err := GridFromParts(a, offsets, edges, weights)
-	if err != nil {
-		eclose()
-		wclose()
-		return failw(err)
-	}
-	closer := func() error {
-		err1 := eclose()
-		err2 := wclose()
-		if err1 != nil {
-			return err1
-		}
-		return err2
-	}
-	return gr, closer, nil
-}
-
-// mapOrRead turns a just-written temp file into a typed slice: mmap +
-// zero-copy reinterpret when the host allows, full read-back otherwise.
-// The returned closer unmaps (if mapped), closes, and deletes the file.
-func mapOrRead[T any](f *os.File, view func([]byte) ([]T, bool), decode func([]byte) []T) ([]T, func() error, error) {
-	cleanup := func() error {
-		err := f.Close()
-		os.Remove(f.Name())
-		return err
-	}
-	if data, unmap, err := graph.MapFile(f); err == nil {
-		if out, ok := view(data); ok {
-			return out, func() error {
-				err := unmap()
-				cleanup()
-				return err
-			}, nil
-		}
-		// Mapped but not reinterpretable (alignment/byte order): decode
-		// a heap copy and drop the mapping.
-		out := decode(data)
-		unmap()
-		return out, cleanup, nil
-	}
-	st, err := f.Stat()
-	if err != nil {
-		cleanup()
-		return nil, nil, err
-	}
-	raw := make([]byte, st.Size())
-	if _, err := f.ReadAt(raw, 0); err != nil && st.Size() > 0 {
-		cleanup()
-		return nil, nil, err
-	}
-	return decode(raw), cleanup, nil
-}
-
-func decodeEdgeBytes(b []byte) []graph.Edge {
-	out := make([]graph.Edge, len(b)/8)
-	for i := range out {
-		out[i] = graph.Edge{
-			Src: binary.LittleEndian.Uint32(b[i*8:]),
-			Dst: binary.LittleEndian.Uint32(b[i*8+4:]),
-		}
-	}
-	return out
-}
-
-func decodeWeightBytes(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}

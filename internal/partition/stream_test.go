@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -20,11 +21,11 @@ func streamTestGraph(t *testing.T, weighted bool) *graph.Graph {
 	return g
 }
 
-// TestStreamBuildMatchesBuildParallel pins the tentpole identity: the
-// bounded-memory streaming builder produces byte-for-byte the layout of
-// the in-memory build, at budgets small enough to force many spilled
-// runs, for both assigner families and weighted/unweighted graphs.
-func TestStreamBuildMatchesBuildParallel(t *testing.T) {
+// TestStreamGridMatchesBuildParallel pins the streaming identity: the
+// bounded-memory two-pass build emits byte-for-byte the layout of the
+// in-memory build, at budgets small enough to force many spilled runs,
+// for both assigner families and weighted/unweighted graphs.
+func TestStreamGridMatchesBuildParallel(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		g := streamTestGraph(t, weighted)
 		for _, mk := range []struct {
@@ -42,23 +43,25 @@ func TestStreamBuildMatchesBuildParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// 1 MiB floor budget → ~43k-entry runs → 3 spilled runs.
-			got, closer, err := StreamBuild(g, a, StreamOptions{BudgetBytes: 1, TmpDir: t.TempDir()})
-			if err != nil {
-				t.Fatalf("%s/weighted=%v: %v", mk.name, weighted, err)
-			}
-			gridsIdentical(t, "stream-spill", got, want)
-			if err := closer(); err != nil {
-				t.Errorf("closer: %v", err)
-			}
-			// And at a budget that keeps everything in one in-memory run.
-			got2, closer2, err := StreamBuild(g, a, StreamOptions{TmpDir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gridsIdentical(t, "stream-mem", got2, want)
-			if err := closer2(); err != nil {
-				t.Errorf("closer: %v", err)
+			// 1 MiB floor budget → ~43k-entry runs → 3 spilled runs; the
+			// default budget keeps everything in one in-memory run.
+			for _, budget := range []int64{1, 0} {
+				var edges []graph.Edge
+				var weights []float32
+				offsets, err := streamGrid(g, a, StreamOptions{BudgetBytes: budget, TmpDir: t.TempDir()},
+					func(e []graph.Edge, w []float32) error {
+						edges = append(edges, e...)
+						weights = append(weights, w...)
+						return nil
+					})
+				if err != nil {
+					t.Fatalf("%s/weighted=%v/budget=%d: %v", mk.name, weighted, budget, err)
+				}
+				got, err := GridFromParts(a, offsets, edges, weights)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gridsIdentical(t, fmt.Sprintf("%s/budget=%d", mk.name, budget), got, want)
 			}
 		}
 	}

@@ -1,135 +1,36 @@
-// Package sim is a minimal discrete-event simulation engine: a time-
-// ordered event queue with deterministic FIFO tie-breaking. The memory-
-// channel models (internal/mem) use it to simulate request-level bank
-// timing — the paper's "custom cycle-accurate simulator" fidelity for
-// the questions that need it (interleaving policies, §3.1).
+// Package sim holds the FIFO-reservation resource the request-level
+// models are built from: a single server that requests reserve in
+// issue order, each learning when its service starts and ends. The
+// memory-channel stream model (internal/mem) and the super-block
+// request-level check (internal/core) chain such resources to price
+// contention at request granularity — the paper's "custom
+// cycle-accurate simulator" fidelity for the questions that need it
+// (interleaving policies, §3.1). Time starts at zero.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-
-	"repro/internal/units"
-)
-
-// Event is a scheduled callback.
-type event struct {
-	at  units.Time
-	seq uint64 // FIFO order among simultaneous events
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Engine runs events in time order. The zero value is NOT ready; use New.
-type Engine struct {
-	now    units.Time
-	queue  eventQueue
-	seq    uint64
-	fired  int64
-	budget int64
-}
-
-// New returns an engine at time zero. maxEvents bounds runaway
-// simulations (0 means a generous default).
-func New(maxEvents int64) *Engine {
-	if maxEvents <= 0 {
-		maxEvents = 1 << 30
-	}
-	return &Engine{budget: maxEvents}
-}
-
-// Now returns the current simulation time.
-func (e *Engine) Now() units.Time { return e.now }
-
-// Fired returns how many events have executed.
-func (e *Engine) Fired() int64 { return e.fired }
-
-// At schedules fn at an absolute time; scheduling in the past panics
-// (it is always a model bug).
-func (e *Engine) At(t units.Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
-	}
-	e.seq++
-	heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
-}
-
-// After schedules fn delay after the current time.
-func (e *Engine) After(delay units.Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	e.At(e.now+delay, fn)
-}
-
-// Run executes events until the queue drains and returns the final time.
-func (e *Engine) Run() (units.Time, error) {
-	for e.queue.Len() > 0 {
-		if e.fired >= e.budget {
-			return e.now, fmt.Errorf("sim: event budget %d exhausted at t=%v", e.budget, e.now)
-		}
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		e.fired++
-		ev.fn()
-	}
-	return e.now, nil
-}
+import "repro/internal/units"
 
 // Resource is a single-server FIFO resource: requests acquire it for a
 // service duration and callers learn their completion time. It is the
-// building block for banks, subbanks, and channel ports.
+// building block for banks, subbanks, and channel ports. The zero value
+// is an idle resource at time zero, ready to use.
 type Resource struct {
-	eng      *Engine
-	freeAt   units.Time
+	freeAt   units.Time // never below zero: the floor of every start
 	BusyTime units.Time
 	Served   int64
 }
 
-// NewResource attaches a resource to an engine.
-func NewResource(eng *Engine) *Resource {
-	return &Resource{eng: eng}
-}
-
-// Acquire reserves the resource for service starting no earlier than the
-// current simulation time, returning (start, end). The caller typically
-// schedules its completion callback at end.
-func (r *Resource) Acquire(service units.Time) (start, end units.Time) {
-	return r.AcquireAt(r.eng.Now(), service)
-}
-
 // AcquireAt reserves the resource for service starting no earlier than
-// both `earliest` and the resource's own availability — the FIFO
-// queueing primitive for chained resources (array → port).
+// both `earliest` and the resource's own availability (and never before
+// time zero) — the FIFO queueing primitive for chained resources
+// (array → port).
 func (r *Resource) AcquireAt(earliest, service units.Time) (start, end units.Time) {
 	if service < 0 {
 		panic("sim: negative service time")
 	}
-	start = r.eng.Now()
+	start = r.freeAt
 	if earliest > start {
 		start = earliest
-	}
-	if r.freeAt > start {
-		start = r.freeAt
 	}
 	end = start + service
 	r.freeAt = end
@@ -137,6 +38,3 @@ func (r *Resource) AcquireAt(earliest, service units.Time) (start, end units.Tim
 	r.Served++
 	return start, end
 }
-
-// FreeAt returns when the resource next becomes idle.
-func (r *Resource) FreeAt() units.Time { return r.freeAt }

@@ -6,103 +6,10 @@ import (
 	"repro/internal/units"
 )
 
-func TestEventsRunInTimeOrder(t *testing.T) {
-	e := New(0)
-	var order []int
-	e.At(30*units.Nanosecond, func() { order = append(order, 3) })
-	e.At(10*units.Nanosecond, func() { order = append(order, 1) })
-	e.At(20*units.Nanosecond, func() { order = append(order, 2) })
-	end, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end != 30*units.Nanosecond {
-		t.Errorf("final time = %v", end)
-	}
-	for i, v := range order {
-		if v != i+1 {
-			t.Fatalf("order = %v", order)
-		}
-	}
-	if e.Fired() != 3 {
-		t.Errorf("fired = %d", e.Fired())
-	}
-}
-
-func TestSimultaneousEventsAreFIFO(t *testing.T) {
-	e := New(0)
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.At(5*units.Nanosecond, func() { order = append(order, i) })
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("simultaneous events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestEventsCanScheduleEvents(t *testing.T) {
-	e := New(0)
-	hops := 0
-	var hop func()
-	hop = func() {
-		hops++
-		if hops < 5 {
-			e.After(units.Nanosecond, hop)
-		}
-	}
-	e.At(0, hop)
-	end, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hops != 5 || end != 4*units.Nanosecond {
-		t.Errorf("hops=%d end=%v", hops, end)
-	}
-}
-
-func TestSchedulingInPastPanics(t *testing.T) {
-	e := New(0)
-	e.At(10*units.Nanosecond, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("scheduling in the past did not panic")
-			}
-		}()
-		e.At(5*units.Nanosecond, func() {})
-	})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Negative delay likewise.
-	defer func() {
-		if recover() == nil {
-			t.Error("negative delay did not panic")
-		}
-	}()
-	e.After(-units.Nanosecond, func() {})
-}
-
-func TestEventBudget(t *testing.T) {
-	e := New(3)
-	var loop func()
-	loop = func() { e.After(units.Nanosecond, loop) }
-	e.At(0, loop)
-	if _, err := e.Run(); err == nil {
-		t.Error("runaway simulation not stopped")
-	}
-}
-
 func TestResourceFIFO(t *testing.T) {
-	e := New(0)
-	r := NewResource(e)
-	s1, e1 := r.Acquire(10 * units.Nanosecond)
-	s2, e2 := r.Acquire(5 * units.Nanosecond)
+	var r Resource
+	s1, e1 := r.AcquireAt(0, 10*units.Nanosecond)
+	s2, e2 := r.AcquireAt(0, 5*units.Nanosecond)
 	if s1 != 0 || e1 != 10*units.Nanosecond {
 		t.Errorf("first acquire (%v,%v)", s1, e1)
 	}
@@ -115,32 +22,33 @@ func TestResourceFIFO(t *testing.T) {
 }
 
 func TestResourceAcquireAt(t *testing.T) {
-	e := New(0)
-	r := NewResource(e)
+	var r Resource
 	// Earliest in the future delays the start.
 	s, end := r.AcquireAt(7*units.Nanosecond, 2*units.Nanosecond)
 	if s != 7*units.Nanosecond || end != 9*units.Nanosecond {
 		t.Errorf("AcquireAt = (%v,%v)", s, end)
 	}
 	// But the resource's own availability still dominates.
-	s2, _ := r.AcquireAt(time0(), 1*units.Nanosecond)
-	if s2 != 9*units.Nanosecond {
-		t.Errorf("second AcquireAt start = %v, want 9ns", s2)
-	}
-	if r.FreeAt() != 10*units.Nanosecond {
-		t.Errorf("FreeAt = %v", r.FreeAt())
+	s2, end2 := r.AcquireAt(0, 1*units.Nanosecond)
+	if s2 != 9*units.Nanosecond || end2 != 10*units.Nanosecond {
+		t.Errorf("second AcquireAt = (%v,%v), want (9ns,10ns)", s2, end2)
 	}
 }
 
-func time0() units.Time { return 0 }
+// A request that may start before time zero still starts at zero.
+func TestResourceZeroFloor(t *testing.T) {
+	var r Resource
+	if s, end := r.AcquireAt(-5*units.Nanosecond, 2*units.Nanosecond); s != 0 || end != 2*units.Nanosecond {
+		t.Errorf("AcquireAt(-5ns) = (%v,%v), want (0,2ns)", s, end)
+	}
+}
 
 func TestNegativeServicePanics(t *testing.T) {
-	e := New(0)
-	r := NewResource(e)
+	var r Resource
 	defer func() {
 		if recover() == nil {
 			t.Error("negative service did not panic")
 		}
 	}()
-	r.Acquire(-units.Nanosecond)
+	r.AcquireAt(0, -units.Nanosecond)
 }
