@@ -1,13 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench bench-json bench-smoke fault-smoke cache-smoke obs-smoke serve-smoke prep-smoke cluster-smoke check
-
-# The committed benchmark artifact for this PR; bump per PR so the repo
-# accumulates a benchstat-style history (compare two with
-# `go run ./cmd/hyve-perf -compare BENCH_prN.json BENCH_prM.json`).
-BENCH_JSON ?= BENCH_pr4.json
-BENCH_COUNT ?= 5
-BENCH_TIME ?= 5x
+.PHONY: all build test vet race bench bench-smoke fault-smoke cache-smoke obs-smoke serve-smoke prep-smoke cluster-smoke check
 
 all: build
 
@@ -29,12 +22,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
-
-# bench-json runs every root benchmark BENCH_COUNT times and distills
-# the output into the canonical JSON artifact via cmd/hyve-perf.
-bench-json:
-	$(GO) test -bench=. -benchmem -count=$(BENCH_COUNT) -benchtime=$(BENCH_TIME) -run '^$$' . | $(GO) run ./cmd/hyve-perf -o $(BENCH_JSON)
-	@echo wrote $(BENCH_JSON)
 
 # bench-smoke is the CI gate: every benchmark must still run (one
 # iteration each), catching bit-rot without burning CI minutes.

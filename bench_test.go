@@ -1,21 +1,17 @@
 package repro
 
-// One testing.B benchmark per table and figure of the paper's
-// evaluation, as indexed in DESIGN.md §3 — each drives the corresponding
-// experiment runner — plus micro-benchmarks for the load-bearing
-// substrate operations (generation, partitioning, simulation, dynamic
-// updates).
+// Micro-benchmarks for the load-bearing layers of a simulated point:
+// generation, container load, partitioning, one functional iteration,
+// the cost simulation, and dynamic-update replay. Where a layer has an
+// alternative the simulator can take instead, the two run as a
+// sub-benchmark pair. End-to-end measurement is hyvebench's job
+// (BENCHMARK.json).
 //
 // Run everything with:
 //
-//	go test -bench=. -benchmem
-//
-// Benchmarks use the Quick option (two datasets, reduced sweeps) so a
-// full pass stays in CPU-minutes; `go run ./cmd/hyve-bench` regenerates
-// the artifacts at full scale.
+//	go test -bench=. -benchmem -run '^$' .
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,46 +19,9 @@ import (
 	"repro/internal/algo"
 	"repro/internal/core"
 	"repro/internal/dynamic"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/partition"
 )
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := experiments.Options{Quick: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(io.Discard, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Table and figure benchmarks (one per paper artifact) --------------
-
-func BenchmarkTable1Navg(b *testing.B)            { benchExperiment(b, "table1") }
-func BenchmarkTable3BankConfigs(b *testing.B)     { benchExperiment(b, "table3") }
-func BenchmarkTable4SRAMSweep(b *testing.B)       { benchExperiment(b, "table4") }
-func BenchmarkFig9SeqAccess(b *testing.B)         { benchExperiment(b, "fig9") }
-func BenchmarkFig10VertexEDP(b *testing.B)        { benchExperiment(b, "fig10") }
-func BenchmarkFig11VertexStorage(b *testing.B)    { benchExperiment(b, "fig11") }
-func BenchmarkFig12Preprocess(b *testing.B)       { benchExperiment(b, "fig12") }
-func BenchmarkFig13CellBits(b *testing.B)         { benchExperiment(b, "fig13") }
-func BenchmarkFig14DataSharing(b *testing.B)      { benchExperiment(b, "fig14") }
-func BenchmarkFig15PowerGating(b *testing.B)      { benchExperiment(b, "fig15") }
-func BenchmarkFig16EnergyEfficiency(b *testing.B) { benchExperiment(b, "fig16") }
-func BenchmarkFig17Breakdown(b *testing.B)        { benchExperiment(b, "fig17") }
-func BenchmarkFig18AbsolutePerf(b *testing.B)     { benchExperiment(b, "fig18") }
-func BenchmarkFig19PrepCompare(b *testing.B)      { benchExperiment(b, "fig19") }
-func BenchmarkFig20Dynamic(b *testing.B)          { benchExperiment(b, "fig20") }
-func BenchmarkFig21GraphR(b *testing.B)           { benchExperiment(b, "fig21") }
-
-// --- Substrate micro-benchmarks -----------------------------------------
 
 func benchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
@@ -101,11 +60,11 @@ func BenchmarkRMATGenerateWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkGraphLoadV2 is the PR 9 headline: loading a prepared v2
-// container (mmap, stored CSR and grid sections) versus regenerating
-// the same graph and rebuilding its grid from scratch. The load side's
-// allocs/op is the zero-copy pin — it must stay O(1) in |E|, not
-// O(edges).
+// BenchmarkGraphLoadV2 pairs the two ways a point gets its graph and
+// block counts: regenerating the graph, or loading a prepared v2
+// container (mmap, stored CSR and grid sections), each followed by the
+// HashedBlocks pass the simulator runs. The load side's allocs/op is
+// the zero-copy pin — it must stay O(1) in |E|, not O(edges).
 func BenchmarkGraphLoadV2(b *testing.B) {
 	g := benchGraph(b)
 	asg, err := partition.NewHashed(g.NumVertices, 32)
@@ -134,25 +93,25 @@ func BenchmarkGraphLoadV2(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	b.Run("generate+build", func(b *testing.B) {
+	b.Run("generate+blocks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			gg, err := graph.GenerateRMAT(65_536, 524_288, graph.DefaultRMAT, 11)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := partition.BuildParallel(gg, asg, 0); err != nil {
+			if _, err := partition.HashedBlocks(gg, asg.P(), 0); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(g.NumEdges()), "edges/op")
 	})
-	b.Run("load+build", func(b *testing.B) {
+	b.Run("load+blocks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			c, err := graph.OpenV2(path)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := partition.BuildParallel(c.Graph(), asg, 0); err != nil {
+			if _, err := partition.HashedBlocks(c.Graph(), asg.P(), 0); err != nil {
 				b.Fatal(err)
 			}
 			if err := c.Close(); err != nil {
@@ -163,19 +122,33 @@ func BenchmarkGraphLoadV2(b *testing.B) {
 	})
 }
 
+// BenchmarkPartitionBuild pairs the full grid build (edges copied into
+// block order, what the blocked functional run needs) with the
+// counts-only HashedBlocks pass the cost simulation needs, each on a
+// graph with no memo so every iteration builds.
 func BenchmarkPartitionBuild(b *testing.B) {
 	g := benchGraph(b)
 	asg, err := partition.NewHashed(g.NumVertices, 32)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.Build(g, asg); err != nil {
-			b.Fatal(err)
+	b.Run("grid", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := partition.Build(g, asg); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	b.ReportMetric(float64(g.NumEdges()), "edges/op")
+		b.ReportMetric(float64(g.NumEdges()), "edges/op")
+	})
+	b.Run("blocks", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fresh := &graph.Graph{NumVertices: g.NumVertices, Edges: g.Edges}
+			if _, err := partition.HashedBlocks(fresh, asg.P(), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(g.NumEdges()), "edges/op")
+	})
 }
 
 func BenchmarkEdgeCentricIteration(b *testing.B) {

@@ -200,8 +200,7 @@ func writeBin(out string, g *graph.Graph) error {
 
 // gridP resolves the -grid flag to an interval count: 0 = no grid
 // sections. "auto" reproduces the exact decision a simulation under
-// -config/-algo will make (core.ChoosePFor), so the stored layout hits
-// the prepared fast path instead of being rebuilt.
+// -config/-algo will make (core.ChoosePFor).
 func gridP(o options, g *graph.Graph, ds *graph.Dataset) (int, error) {
 	switch o.grid {
 	case "", "off":
@@ -283,8 +282,7 @@ func writeV2(o options, g *graph.Graph, seed uint64, ds *graph.Dataset) error {
 // derived sections against a from-scratch rebuild: header digest matches
 // the stored edges, the compressed CSR decodes to exactly BuildCSR's
 // arrays, and the grid sections equal a fresh BuildParallel at the
-// stored P (rebuilt from a clone so the prepared fast path cannot serve
-// the very data being checked).
+// stored P.
 func verifyContainer(path string) error {
 	c, err := graph.OpenV2(path)
 	if err != nil {
@@ -346,31 +344,12 @@ func verifyContainer(path string) error {
 		if err != nil {
 			return fmt.Errorf("grid sections: %w", err)
 		}
-		want, err := partition.BuildParallel(g.Clone(), asg, 0)
+		want, err := partition.BuildParallel(g, asg, 0)
 		if err != nil {
 			return err
 		}
-		for x := 0; x < p; x++ {
-			for y := 0; y < p; y++ {
-				sb, wb := stored.Block(x, y), want.Block(x, y)
-				if len(sb) != len(wb) {
-					return fmt.Errorf("grid block (%d,%d): %d edges, want %d", x, y, len(sb), len(wb))
-				}
-				for i := range wb {
-					if sb[i] != wb[i] {
-						return fmt.Errorf("grid block (%d,%d) edge %d: %v, want %v", x, y, i, sb[i], wb[i])
-					}
-				}
-				swt, wwt := stored.BlockWeights(x, y), want.BlockWeights(x, y)
-				if (swt == nil) != (wwt == nil) {
-					return fmt.Errorf("grid block (%d,%d): weight presence mismatch", x, y)
-				}
-				for i := range wwt {
-					if swt[i] != wwt[i] {
-						return fmt.Errorf("grid block (%d,%d) weight %d: %v, want %v", x, y, i, swt[i], wwt[i])
-					}
-				}
-			}
+		if err := stored.CheckLayout(want); err != nil {
+			return fmt.Errorf("grid sections vs rebuild at P=%d: %w", p, err)
 		}
 	}
 	return nil

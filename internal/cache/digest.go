@@ -2,10 +2,9 @@
 // makes result reuse flow through it: a versioned content digest over
 // (Config, Workload, code-schema version), a sharded in-memory LRU plus
 // an on-disk content-addressed store of results, and one Scheduler
-// through which hyve-bench, hyve-check, and any core.Machine consumer
-// submit points — so identical points across experiments, sweeps, and
-// conformance runs execute exactly once (ROADMAP: the content-addressed
-// result cache).
+// through which hyve-bench, hyve-serve and the cluster sweep jobs submit
+// points — so identical points across experiments, sweeps and requests
+// execute exactly once.
 //
 // The digest is the single source of truth for "same point": two points
 // with equal digests produce byte-identical results (pinned by the

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -32,13 +33,17 @@ func EncodeResult(r *core.Result) ([]byte, error) {
 
 // DecodeResult parses a canonical result document strictly: unknown
 // fields — a result written by a build with a different shape — are an
-// error, never silently dropped.
+// error, never silently dropped, and so is anything but whitespace after
+// the document.
 func DecodeResult(data []byte) (*core.Result, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var r core.Result
 	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("cache: decoding result: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("cache: decoding result: data after the document")
 	}
 	return &r, nil
 }

@@ -47,6 +47,29 @@ func TestDecodeResultRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// A genuine document (trailing newline and all) decodes; the same
+// document followed by garbage, a second document, or stray closers
+// does not.
+func TestDecodeResultRejectsTrailingData(t *testing.T) {
+	_, r := testResult(t)
+	doc, err := EncodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeResult(doc); err != nil {
+		t.Fatalf("genuine document refused: %v", err)
+	}
+	if _, err := DecodeResult(append(append([]byte(nil), doc...), " \n\t"...)); err != nil {
+		t.Fatalf("trailing whitespace refused: %v", err)
+	}
+	for _, tail := range []string{"garbage", `{"x":1}`, "]]]", "}", "null", string(doc)} {
+		bad := append(append([]byte(nil), doc...), tail...)
+		if _, err := DecodeResult(bad); err == nil {
+			t.Errorf("document followed by %.20q accepted", tail)
+		}
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	d, r := testResult(t)
 	s := &store{dir: t.TempDir()}

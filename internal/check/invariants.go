@@ -181,7 +181,7 @@ func checkKernelVsOracle(p *Point) error {
 // SRAM (or the global device in the SRAM-less baselines), the edge
 // device's sequential read, and the CMOS PU op.
 func analyticModel(p *Point) (analytic.Model, error) {
-	_, gp, err := core.Grid(p.Cfg, p.Workload)
+	gp, err := core.ChoosePFor(p.Cfg, p.Workload)
 	if err != nil {
 		return analytic.Model{}, err
 	}
@@ -543,15 +543,16 @@ func checkCacheHitIdentity(p *Point) error {
 	return nil
 }
 
-// checkV2LoadIdentity holds the prepared-container pipeline (PR 9) to
-// the generation contract: a graph round-tripped through a v2 container
-// — CSR and pre-partitioned grid sections included — must be
+// checkV2LoadIdentity holds the prepared-container pipeline to the
+// generation contract: a graph round-tripped through a v2 container —
+// CSR and pre-partitioned grid sections included — must be
 // indistinguishable from the in-process instance. The point's graph is
-// compiled to a temp container at the P its own simulation will choose,
-// then loaded back through both readers (mmap via OpenV2 and the
-// streaming ReadV2). For each, the cache key must not move and a full
-// simulation over the loaded graph — whose grid comes from the stored
-// sections via the partition fast path — must encode to the same
+// compiled to a temp container, its grid sections streamed through the
+// spilling builder at the P its own simulation will choose, then loaded
+// back through both readers (mmap via OpenV2 and the streaming ReadV2).
+// For each, the stored grid (offsets, edges, weights) must equal
+// BuildParallel over the point's graph, the cache key must not move,
+// and a full simulation over the loaded graph must encode to the same
 // canonical bytes as the fresh run.
 func checkV2LoadIdentity(p *Point) error {
 	base, err := p.Sim()
@@ -601,6 +602,10 @@ func checkV2LoadIdentity(p *Point) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
+	wantGrid, err := partition.BuildParallel(p.Graph, asg, 0)
+	if err != nil {
+		return err
+	}
 
 	for _, rd := range []struct {
 		name string
@@ -623,6 +628,20 @@ func checkV2LoadIdentity(p *Point) error {
 		c, err := rd.open()
 		if err != nil {
 			return fmt.Errorf("check: %s reader: %w", rd.name, err)
+		}
+		off, edges, wts, gp, contig, ok := c.GridParts()
+		if !ok || gp != gridP || contig {
+			c.Close()
+			return fmt.Errorf("check: %s-loaded grid geometry P=%d contiguous=%v present=%v, want hashed P=%d",
+				rd.name, gp, contig, ok, gridP)
+		}
+		stored, err := partition.GridFromParts(asg, off, edges, wts)
+		if err == nil {
+			err = stored.CheckLayout(wantGrid)
+		}
+		if err != nil {
+			c.Close()
+			return fmt.Errorf("check: %s-loaded grid sections: %w", rd.name, err)
 		}
 		lw := p.Workload
 		lw.Graph = c.Graph()

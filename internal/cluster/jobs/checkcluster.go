@@ -8,7 +8,6 @@ import (
 	"net"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/check"
 	"repro/internal/cluster"
 )
@@ -32,15 +31,11 @@ func RunCheckCluster(opt check.Options, workers int) (*check.Summary, error) {
 	if out == nil {
 		out = io.Discard
 	}
-	sched := opt.Cache
-	if sched == nil {
-		sched = cache.New(cache.Config{})
-	}
 	spec, err := NewCheckSpec(opt.Seed, opt.Points, opt.PointTimeout)
 	if err != nil {
 		return nil, err
 	}
-	execOpt := ExecOptions{Cache: sched}
+	var execOpt ExecOptions
 	job, err := Decode(spec, execOpt)
 	if err != nil {
 		return nil, err

@@ -39,11 +39,11 @@ type CheckSpec struct {
 }
 
 // ExecOptions carries the local execution environment a spec does not
-// describe: the scheduler machines resolve through and where prepared
-// datasets live.
+// describe: the scheduler simulation points resolve through and where
+// prepared datasets live.
 type ExecOptions struct {
-	// Cache is the scheduler points resolve through (nil = a private
-	// in-memory scheduler per job).
+	// Cache is the scheduler simulation points resolve through (nil = a
+	// private in-memory scheduler per sim job).
 	Cache *cache.Scheduler
 	// PrepDir, when nonempty, loads datasets from hyve-prep containers
 	// (missing datasets are generated, exactly as everywhere else).
@@ -95,10 +95,6 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 	if opt.PrepDir != "" {
 		graph.SetPreparedDir(opt.PrepDir)
 	}
-	sched := opt.Cache
-	if sched == nil {
-		sched = cache.New(cache.Config{})
-	}
 	switch s.Kind {
 	case "sim":
 		if s.Sim == nil {
@@ -106,6 +102,10 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 		}
 		if err := s.Sim.Validate(); err != nil {
 			return nil, err
+		}
+		sched := opt.Cache
+		if sched == nil {
+			sched = cache.New(cache.Config{})
 		}
 		return &simJob{sweep: *s.Sim, sched: sched}, nil
 	case "check":
@@ -115,7 +115,7 @@ func Decode(spec []byte, opt ExecOptions) (cluster.Job, error) {
 		if s.Check.Points <= 0 {
 			return nil, errors.New("jobs: check spec names no points")
 		}
-		return &checkJob{spec: *s.Check, sched: sched}, nil
+		return &checkJob{spec: *s.Check}, nil
 	default:
 		return nil, fmt.Errorf("jobs: unknown spec kind %q", s.Kind)
 	}
@@ -154,21 +154,31 @@ func (j *simJob) Execute(ctx context.Context, i int) ([]byte, error) {
 	return cache.EncodeResult(r)
 }
 
-// Validate implements cluster.Job: the payload must be a well-formed
-// canonical result document.
+// Validate implements cluster.Job: the payload must be a canonical
+// result document — exactly the bytes EncodeResult gives for the result
+// it decodes to — because the coordinator merges payloads verbatim.
 func (j *simJob) Validate(i int, payload []byte) error {
 	if i < 0 || i >= j.Points() {
 		return fmt.Errorf("jobs: sim point %d outside sweep of %d", i, j.Points())
 	}
-	_, err := cache.DecodeResult(payload)
-	return err
+	r, err := cache.DecodeResult(payload)
+	if err != nil {
+		return err
+	}
+	canon, err := cache.EncodeResult(r)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(canon, payload) {
+		return fmt.Errorf("jobs: sim point %d payload is not the canonical encoding of its result", i)
+	}
+	return nil
 }
 
 // checkJob executes conformance points and returns canonical
 // hyve/checkpoint/v1 documents.
 type checkJob struct {
-	spec  CheckSpec
-	sched *cache.Scheduler
+	spec CheckSpec
 }
 
 // Points implements cluster.Job.
@@ -183,7 +193,7 @@ func (j *checkJob) Execute(ctx context.Context, i int) ([]byte, error) {
 		return nil, err
 	}
 	return check.RunPointDoc(j.spec.Seed+uint64(i),
-		time.Duration(j.spec.PointTimeoutMS)*time.Millisecond, j.sched)
+		time.Duration(j.spec.PointTimeoutMS)*time.Millisecond)
 }
 
 // Validate implements cluster.Job: the payload must decode as a point

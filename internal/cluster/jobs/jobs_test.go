@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -251,6 +252,47 @@ func TestCheckClusterZeroWorkers(t *testing.T) {
 	}
 	if sum.Points != 1 {
 		t.Fatalf("merged %d points, want 1", sum.Points)
+	}
+}
+
+// TestSimValidateRequiresCanonicalPayload: the coordinator merges
+// accepted payloads verbatim, so Validate admits a worker's genuine
+// document and nothing else that decodes to the same result — not one
+// with trailing data, a second document, reordered fields or another
+// indentation.
+func TestSimValidateRequiresCanonicalPayload(t *testing.T) {
+	_, job := simSpecSmall(t)
+	doc, err := job.Execute(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := job.Validate(0, doc); err != nil {
+		t.Fatalf("genuine payload refused: %v", err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(doc, &fields); err != nil {
+		t.Fatal(err)
+	}
+	reordered, err := json.Marshal(fields) // map keys sort: Detail before Report
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, doc, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"trailing garbage": append(append([]byte(nil), doc...), "garbage"...),
+		"second document":  append(append([]byte(nil), doc...), doc...),
+		"reordered fields": append(reordered, '\n'),
+		"re-indented":      indented.Bytes(),
+	} {
+		if bytes.Equal(bad, doc) {
+			t.Fatalf("%s: test payload equals the genuine one", name)
+		}
+		if err := job.Validate(0, bad); err == nil {
+			t.Errorf("%s payload accepted", name)
+		}
 	}
 }
 

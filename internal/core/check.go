@@ -145,11 +145,11 @@ func CheckResult(cfg Config, w Workload, r *Result) error {
 // sums match exactly, every non-empty block is streamed exactly once,
 // and every access stays inside its memory image.
 func checkTrace(cfg Config, w Workload, s *machine, d *Detail, edgeSize int64) error {
-	edgeOffsets, err := scheduledEdgeOffsets(s.grid, cfg.NumPUs)
+	edgeOffsets, err := scheduledEdgeOffsets(s.blocks, cfg.NumPUs)
 	if err != nil {
 		return err
 	}
-	vtxOffsets := vertexImageOffsets(s.grid.Assigner, s.valueBytes)
+	vtxOffsets := vertexImageOffsets(s.blocks.Assigner, s.valueBytes)
 
 	var srcB, dstB, wbB, edgeB int64
 	blockReads := make(map[[2]int]int)
@@ -217,14 +217,14 @@ func checkTrace(cfg Config, w Workload, s *machine, d *Detail, edgeSize int64) e
 		return fmt.Errorf("core: trace traffic (src %d, dst %d, wb %d, edge %d) does not reconcile with detail (src %d, dst %d, wb %d, edge %d)",
 			srcB, dstB, wbB, edgeB, d.SrcLoadBytes, d.DstLoadBytes, d.WritebackBytes, d.EdgeBytes)
 	}
-	if len(blockReads) != s.grid.NonEmpty() {
-		return fmt.Errorf("core: trace streamed %d distinct blocks, grid has %d non-empty", len(blockReads), s.grid.NonEmpty())
+	if len(blockReads) != s.blocks.NonEmpty() {
+		return fmt.Errorf("core: trace streamed %d distinct blocks, grid has %d non-empty", len(blockReads), s.blocks.NonEmpty())
 	}
 	for blk, n := range blockReads {
 		if n != 1 {
 			return fmt.Errorf("core: block (%d,%d) streamed %d times in one iteration", blk[0], blk[1], n)
 		}
-		if s.grid.BlockLen(blk[0], blk[1]) == 0 {
+		if s.blocks.BlockLen(blk[0], blk[1]) == 0 {
 			return fmt.Errorf("core: trace streamed empty block (%d,%d)", blk[0], blk[1])
 		}
 	}

@@ -95,7 +95,7 @@ type Config struct {
 	Fault fault.Config
 
 	// Parallelism bounds the host CPU workers a single run may use for
-	// its own internal work: the parallel grid build and the
+	// its own internal work: the parallel partition passes and the
 	// block-parallel functional execution. It is a host-resource knob,
 	// not a model parameter — results are bit-identical at every value.
 	// 0 (the default) means GOMAXPROCS; 1 reproduces the fully

@@ -341,17 +341,27 @@ func TestSRAMSweetSpotExists(t *testing.T) {
 	}
 }
 
+// The machine partitions at ChoosePFor's P, and its block counts cover
+// every edge of the graph.
 func TestGridExposesPartition(t *testing.T) {
 	w := testWorkload(t, "PR")
-	g, p, err := Grid(HyVE(), w)
+	m, err := NewMachine(HyVE(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.P() != p {
-		t.Errorf("grid P %d != reported %d", g.P(), p)
+	p, err := ChoosePFor(HyVE(), w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g.NumEdges() != w.Graph.NumEdges() {
-		t.Errorf("grid holds %d edges, graph has %d", g.NumEdges(), w.Graph.NumEdges())
+	if m.s.p != p || m.s.blocks.P() != p {
+		t.Errorf("machine P %d, blocks P %d, ChoosePFor %d", m.s.p, m.s.blocks.P(), p)
+	}
+	var edges int64
+	for _, c := range m.s.blocks.IntervalEdgeCounts() {
+		edges += c
+	}
+	if edges != int64(w.Graph.NumEdges()) {
+		t.Errorf("blocks hold %d edges, graph has %d", edges, w.Graph.NumEdges())
 	}
 }
 

@@ -31,8 +31,15 @@ func RunFunctional(cfg Config, w Workload) (*algo.Result, error) {
 	return m.RunFunctional()
 }
 
+// runFunctional is the one machine path that needs the edges
+// themselves, so it builds the full grid here, under the machine's
+// assigner, instead of the machine holding one for the cost run.
 func (s *machine) runFunctional() (*algo.Result, error) {
 	st, err := algo.NewState(s.w.Program, s.w.Graph)
+	if err != nil {
+		return nil, err
+	}
+	grid, err := partition.BuildParallel(s.w.Graph, s.blocks.Assigner, s.cfg.Parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +63,7 @@ func (s *machine) runFunctional() (*algo.Result, error) {
 					err := parallel.ForEach(workers, n, func(p int) error {
 						var ks algo.KernelStats
 						src, dst := x*n+(p+step)%n, y*n+p
-						st.ProcessEdgesInto(&ks, s.grid.Block(src, dst), s.grid.BlockWeights(src, dst))
+						st.ProcessEdgesInto(&ks, grid.Block(src, dst), grid.BlockWeights(src, dst))
 						stats[p] = ks
 						return nil
 					})
@@ -81,22 +88,11 @@ func (s *machine) runFunctional() (*algo.Result, error) {
 	}, nil
 }
 
-// Grid exposes the simulator's partition for inspection in tests and
-// experiments.
-func Grid(cfg Config, w Workload) (*partition.Grid, int, error) {
-	m, err := NewMachine(cfg, w)
-	if err != nil {
-		return nil, 0, err
-	}
-	return m.Grid(), m.P(), nil
-}
-
 // Machine is one assembled simulator instance for a (Config, Workload)
-// point: the devices, regions, and — most importantly — the partitioned
-// grid are built once and shared by every run of the point. Use it when
-// the same point needs both the blocked functional run and the cost run
-// (the conformance harness, experiment sweeps that cross-check), which
-// previously paid a full grid rebuild for each.
+// point: the devices, regions and block counts are assembled once and
+// shared by every run of the point. Use it when the same point needs
+// both the blocked functional run and the cost run (the conformance
+// harness).
 //
 // Both runs are memoized: the machine executes each at most once, so
 // accumulating internals (the power-gate statistics) stay single-run
@@ -126,18 +122,6 @@ func NewMachine(cfg Config, w Workload) (*Machine, error) {
 	}
 	return &Machine{s: s}, nil
 }
-
-// Grid returns the shared partitioned graph.
-func (m *Machine) Grid() *partition.Grid { return m.s.grid }
-
-// P returns the interval count the machine chose.
-func (m *Machine) P() int { return m.s.p }
-
-// Config returns the configuration the machine was assembled for.
-func (m *Machine) Config() Config { return m.s.cfg }
-
-// Workload returns the workload the machine was assembled for.
-func (m *Machine) Workload() Workload { return m.s.w }
 
 // RunFunctional runs (once; memoized) the blocked functional execution.
 func (m *Machine) RunFunctional() (*algo.Result, error) {

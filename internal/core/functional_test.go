@@ -6,7 +6,6 @@ import (
 	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/parallel"
-	"repro/internal/partition"
 )
 
 // The block-parallel functional execution must be bit-identical to the
@@ -97,8 +96,9 @@ func TestBlockParallelFunctionalRaceHammer(t *testing.T) {
 	}
 }
 
-// One Machine must serve the functional pre-run and the cost run off a
-// single partition build, memoizing both.
+// One Machine must serve the functional run and the cost run, memoizing
+// both, and every machine over the same (graph, P) must share one set of
+// block counts.
 func TestMachineSharesGrid(t *testing.T) {
 	w := testWorkload(t, "PR")
 	cfg := HyVEOpt()
@@ -106,9 +106,9 @@ func TestMachineSharesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := m.Grid()
-	if grid == nil || m.P() <= 0 {
-		t.Fatal("machine has no grid")
+	blocks := m.s.blocks
+	if blocks == nil || m.s.p <= 0 {
+		t.Fatal("machine has no block counts")
 	}
 	fr, err := m.RunFunctional()
 	if err != nil {
@@ -118,8 +118,8 @@ func TestMachineSharesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Grid() != grid {
-		t.Error("grid rebuilt between runs")
+	if m.s.blocks != blocks {
+		t.Error("block counts rebuilt between runs")
 	}
 	fr2, _ := m.RunFunctional()
 	sr2, _ := m.Simulate()
@@ -141,14 +141,12 @@ func TestMachineSharesGrid(t *testing.T) {
 			sr.Report.Time, wantS.Report.Time, sr.Report.Energy.Total(), wantS.Report.Energy.Total())
 	}
 
-	// The machine's grid is the same partition Grid() reports.
-	pg, p, err := Grid(cfg, w)
+	// A second machine over the same graph at the same P shares them.
+	m2, err := NewMachine(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p != m.P() || pg.NumEdges() != grid.NumEdges() {
-		t.Errorf("Grid() disagrees with machine: P %d vs %d, edges %d vs %d",
-			p, m.P(), pg.NumEdges(), grid.NumEdges())
+	if m2.s.blocks != blocks {
+		t.Error("block counts rebuilt for the same (graph, P)")
 	}
-	var _ *partition.Grid = pg
 }

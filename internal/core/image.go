@@ -70,24 +70,24 @@ func BuildEdgeImage(grid *partition.Grid) ([]byte, []int64) {
 // image laid out in Algorithm 2's visit order for n processing units —
 // the production layout, under which the iteration's block reads are a
 // single sequential sweep — without serializing the image.
-func scheduledEdgeOffsets(grid *partition.Grid, n int) ([]int64, error) {
-	p := grid.P()
+func scheduledEdgeOffsets(blocks *partition.Blocks, n int) ([]int64, error) {
+	p := blocks.P()
 	if n <= 0 || p%n != 0 {
 		return nil, fmt.Errorf("core: P=%d not a multiple of N=%d", p, n)
 	}
-	return edgeImageOffsets(grid, ScheduleBlockOrder(p, n)), nil
+	return edgeImageOffsets(blocks, ScheduleBlockOrder(p, n)), nil
 }
 
 // edgeImageOffsets computes the start offset of every block (indexed by
 // block id = x·P + y) in an edge image that stores the blocks in order,
 // and the image size at index P²: a header plus the edges per block.
-func edgeImageOffsets(grid *partition.Grid, order []int) []int64 {
-	p := grid.P()
+func edgeImageOffsets(blocks *partition.Blocks, order []int) []int64 {
+	p := blocks.P()
 	offsets := make([]int64, p*p+1)
 	var at int64
 	for _, b := range order {
 		offsets[b] = at
-		at += EdgeImageHeaderBytes + int64(grid.BlockLen(b/p, b%p))*graph.EdgeBytes
+		at += EdgeImageHeaderBytes + int64(blocks.BlockLen(b/p, b%p))*graph.EdgeBytes
 	}
 	offsets[p*p] = at
 	return offsets
@@ -95,7 +95,7 @@ func edgeImageOffsets(grid *partition.Grid, order []int) []int64 {
 
 func buildEdgeImage(grid *partition.Grid, order []int) ([]byte, []int64) {
 	p := grid.P()
-	offsets := edgeImageOffsets(grid, order)
+	offsets := edgeImageOffsets(&grid.Blocks, order)
 	img := make([]byte, 0, offsets[p*p])
 	u32 := func(v uint32) {
 		var b [4]byte

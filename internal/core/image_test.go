@@ -160,7 +160,7 @@ func TestScheduledImageRoundTrip(t *testing.T) {
 		}
 		prev = offsets[b]
 	}
-	if _, err := scheduledEdgeOffsets(grid, 3); err == nil {
+	if _, err := scheduledEdgeOffsets(&grid.Blocks, 3); err == nil {
 		t.Error("P not multiple of N accepted")
 	}
 }
@@ -172,7 +172,7 @@ func TestEdgeImageOffsetsMatchBytes(t *testing.T) {
 	_, _, grid := imageFixture(t)
 	rowMajor, rowOffsets := BuildEdgeImage(grid)
 	scheduled, _ := buildEdgeImage(grid, ScheduleBlockOrder(8, 2))
-	schedOffsets, err := scheduledEdgeOffsets(grid, 2)
+	schedOffsets, err := scheduledEdgeOffsets(&grid.Blocks, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/partition"
 )
 
 // TestPresetsShareOneFunctionalRun prices one workload under the five
@@ -48,6 +49,40 @@ func TestPresetsShareOneFunctionalRun(t *testing.T) {
 		want := simulate(t, cfg, fresh)
 		if got[i].Report != want.Report || got[i].Detail != want.Detail {
 			t.Errorf("%s: shared-run result differs from a memo-free graph's", cfg.Name)
+		}
+	}
+}
+
+// TestPresetsShareBlockBuilds prices one workload under the five
+// Fig. 16 presets: the block counts belong to the (graph, P) pair, so
+// the partition pass runs once per distinct P among the presets, not
+// once per point, and a repeat of every point builds nothing.
+func TestPresetsShareBlockBuilds(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	t.Cleanup(func() { obs.SetDefault(nil) })
+
+	w := testWorkload(t, "PR")
+	// YT's full size: the SRAM presets choose P = 16, the SRAM-less
+	// baselines one interval per PU.
+	w.FullVertices, w.FullEdges = 1_160_000, 2_990_000
+	distinct := map[int]bool{}
+	for _, cfg := range Fig16Configs() {
+		p, err := ChoosePFor(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct[p] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("presets span %d distinct P; the test needs at least two", len(distinct))
+	}
+	for pass := 0; pass < 2; pass++ {
+		for _, cfg := range Fig16Configs() {
+			simulate(t, cfg, w)
+		}
+		if n := reg.Counter(partition.MetricBlockBuilds); n != int64(len(distinct)) {
+			t.Fatalf("pass %d: %d block builds for %d distinct P, want one per P", pass, n, len(distinct))
 		}
 	}
 }

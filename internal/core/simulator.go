@@ -146,10 +146,10 @@ func gridRowHitRate(kind MemKind) float64 {
 //
 // Simulate is safe to call from concurrent goroutines, including on a
 // shared Workload: cfg and w are passed by value, all mutable run state
-// (partitioning, schedule, gate windows, accumulated report) lives in
-// locals created here, and the only data reached through w — the graph
-// and the program — is read-only by contract (graphs are never mutated
-// after generation, programs are stateless). The parallel experiment
+// (schedule, gate windows, accumulated report) lives in locals created
+// here, and the only data reached through w — the graph, its memoized
+// block counts, and the program — is read-only by contract (graphs are
+// never mutated after generation, programs are stateless). The parallel experiment
 // harness and internal/experiments/race_test.go depend on this.
 func Simulate(cfg Config, w Workload) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
@@ -182,8 +182,8 @@ type machine struct {
 	pu      *device.CMOSPU
 	gate    *mem.GatedBanks // nil without power gating
 
-	p          int // intervals
-	grid       *partition.Grid
+	p          int               // intervals
+	blocks     *partition.Blocks // per-block edge counts, shared per (graph, P)
 	valueBytes int
 	words      int // 32-bit words per vertex value
 	edgeBanks  int // banks across the edge region (all chips)
@@ -261,11 +261,7 @@ func newSim(cfg Config, w Workload) (*machine, error) {
 		return nil, err
 	}
 
-	asg, err := partition.NewHashed(w.Graph.NumVertices, s.p)
-	if err != nil {
-		return nil, err
-	}
-	if s.grid, err = partition.BuildParallel(w.Graph, asg, cfg.Parallelism); err != nil {
+	if s.blocks, err = partition.HashedBlocks(w.Graph, s.p, cfg.Parallelism); err != nil {
 		return nil, err
 	}
 
@@ -290,10 +286,9 @@ func newSim(cfg Config, w Workload) (*machine, error) {
 }
 
 // ChoosePFor returns the interval count the simulator will partition
-// w's graph into under cfg — the same decision newSim makes, exposed so
-// offline tooling (hyve-prep -grid auto) can pre-partition a container
-// at exactly the P a later simulation will request and hit the prepared
-// fast path.
+// w's graph into under cfg — the same decision newSim makes, exposed for
+// the analytic model's counts and for offline tooling (hyve-prep -grid
+// auto) that pre-partitions a container at that P.
 func ChoosePFor(cfg Config, w Workload) (int, error) {
 	if cfg.UseOnChipSRAM {
 		// P from full-scale vertices so partition counts match the
@@ -404,7 +399,7 @@ func (s *machine) stages() stageCosts {
 
 // intervalBytes returns the vertex-value bytes of interval i.
 func (s *machine) intervalBytes(i int) int64 {
-	return int64(s.grid.Assigner.IntervalLen(i)) * int64(s.valueBytes)
+	return int64(s.blocks.Assigner.IntervalLen(i)) * int64(s.valueBytes)
 }
 
 // transferCost models moving an interval between the off-chip vertex
@@ -741,7 +736,7 @@ func (s *machine) iterationCost() (units.Time, energy.Breakdown, Detail) {
 				for p := 0; p < n; p++ {
 					src := x*n + (p+step)%n
 					dst := y*n + p
-					blkLen := s.grid.BlockLen(src, dst)
+					blkLen := s.blocks.BlockLen(src, dst)
 					if blkLen == 0 {
 						continue
 					}

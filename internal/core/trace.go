@@ -82,11 +82,11 @@ func TraceIteration(cfg Config, w Workload, visit func(Access)) error {
 	}
 	// The production layout stores blocks in schedule order, so the
 	// traced edge reads form one sequential sweep per iteration.
-	edgeOffsets, err := scheduledEdgeOffsets(s.grid, cfg.NumPUs)
+	edgeOffsets, err := scheduledEdgeOffsets(s.blocks, cfg.NumPUs)
 	if err != nil {
 		return err
 	}
-	vtxOffsets := vertexImageOffsets(s.grid.Assigner, s.valueBytes)
+	vtxOffsets := vertexImageOffsets(s.blocks.Assigner, s.valueBytes)
 
 	n := s.cfg.NumPUs
 	pn := s.p / n
@@ -96,7 +96,7 @@ func TraceIteration(cfg Config, w Workload, visit func(Access)) error {
 	}
 
 	intervalBytes := func(i int) int64 {
-		return int64(s.grid.Assigner.IntervalLen(i)) * int64(s.valueBytes)
+		return int64(s.blocks.Assigner.IntervalLen(i)) * int64(s.valueBytes)
 	}
 	emitVertex := func(kind AccessKind, interval, pu, sbx, sby, step int) {
 		visit(Access{
@@ -127,7 +127,7 @@ func TraceIteration(cfg Config, w Workload, visit func(Access)) error {
 				for p := 0; p < n; p++ {
 					src := x*n + (p+step)%n
 					dst := y*n + p
-					blkLen := s.grid.BlockLen(src, dst)
+					blkLen := s.blocks.BlockLen(src, dst)
 					if blkLen == 0 {
 						continue
 					}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 func collectTrace(t *testing.T, cfg Config, w Workload) []Access {
@@ -23,10 +24,11 @@ func TestTraceCoversEveryBlockOnce(t *testing.T) {
 	trace := collectTrace(t, cfg, w)
 	r := simulate(t, cfg, w)
 
-	grid, p, err := Grid(cfg, w)
+	s, err := newSim(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := s.p
 	seen := make(map[[2]int]int)
 	var edgeBytes int64
 	for _, a := range trace {
@@ -39,7 +41,7 @@ func TestTraceCoversEveryBlockOnce(t *testing.T) {
 	for x := 0; x < p; x++ {
 		for y := 0; y < p; y++ {
 			want := 0
-			if grid.BlockLen(x, y) > 0 {
+			if s.blocks.BlockLen(x, y) > 0 {
 				want = 1
 			}
 			if got := seen[[2]int{x, y}]; got != want {
@@ -95,8 +97,12 @@ func TestTraceAddressesInBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edgeImg, _ := BuildEdgeImage(s.grid)
-	vtxOffsets := vertexImageOffsets(s.grid.Assigner, s.valueBytes)
+	grid, err := partition.BuildParallel(w.Graph, s.blocks.Assigner, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeImg, _ := BuildEdgeImage(grid)
+	vtxOffsets := vertexImageOffsets(s.blocks.Assigner, s.valueBytes)
 	vtxSize := vtxOffsets[len(vtxOffsets)-1]
 	for _, a := range collectTrace(t, cfg, w) {
 		switch a.Kind {

@@ -216,8 +216,7 @@ type weightedKey struct {
 // once per (g, maxWeight, seed) through Memo: every caller gets the same
 // *Graph, hence one content digest and one memoized functional run per
 // weighted instance. The derivative aliases g's immutable edge slice
-// instead of copying it; like Clone it drops container provenance
-// (PreparedGrid). Any weights g already carries are replaced.
+// instead of copying it. Any weights g already carries are replaced.
 func (g *Graph) UniformlyWeighted(maxWeight float32, seed uint64) *Graph {
 	v, _ := g.Memo(weightedKey{math.Float32bits(maxWeight), seed}, func() (any, error) {
 		return &Graph{

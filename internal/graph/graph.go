@@ -54,37 +54,6 @@ type Graph struct {
 
 	memoMu sync.Mutex
 	memo   map[any]*memoEntry
-
-	// prep, when non-nil, is the pre-partitioned grid payload attached by
-	// the v2 container this graph was materialized from (see v2read.go).
-	// It is provenance, not topology: Clone deliberately drops it.
-	prep *preparedGrid
-}
-
-// preparedGrid carries a container's grid sections alongside the graph
-// so partition.BuildParallel can return the stored layout instead of
-// rebuilding when its assigner matches. The stored order is exactly
-// BuildParallel's stable counting-sort order, so taking the fast path
-// never changes a single result byte.
-type preparedGrid struct {
-	p          int
-	contiguous bool // interval kind: contiguous ranges vs hashed (v mod P)
-	offsets    []int64
-	edges      []Edge
-	weights    []float32
-}
-
-// PreparedGrid returns the container-attached grid payload when its
-// shape matches the request exactly: same interval count, same interval
-// kind, and weights present iff the caller needs them. The slices alias
-// container storage (possibly a read-only mmap) and must not be
-// modified. ok is false for graphs without an attached container grid.
-func (g *Graph) PreparedGrid(p int, contiguous, weighted bool) (offsets []int64, edges []Edge, weights []float32, ok bool) {
-	pg := g.prep
-	if pg == nil || pg.p != p || pg.contiguous != contiguous || weighted != (pg.weights != nil) {
-		return nil, nil, nil, false
-	}
-	return pg.offsets, pg.edges, pg.weights, true
 }
 
 // NumEdges returns the number of directed edges.
@@ -184,10 +153,9 @@ func (g *Graph) Memo(key any, build func() (any, error)) (any, error) {
 	return e.v, e.err
 }
 
-// Clone returns a deep copy of the graph. Container provenance (the
-// prepared-grid payload) is not copied: a clone is about to be mutated
-// (e.g. AttachUniformWeights), which would desynchronize it from the
-// stored layout.
+// Clone returns a deep copy of the graph's topology and weights; the
+// memo is not copied, since a clone may be mutated before it is shared
+// (e.g. AttachUniformWeights).
 func (g *Graph) Clone() *Graph {
 	c := &Graph{NumVertices: g.NumVertices, Edges: append([]Edge(nil), g.Edges...)}
 	if g.Weights != nil {

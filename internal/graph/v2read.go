@@ -34,14 +34,16 @@ type Container struct {
 	zero  bool
 	unmap func() error
 
-	g    *Graph
-	csr  *CompressedCSR
-	grid *preparedGrid
+	g   *Graph
+	csr *CompressedCSR
+	// The stored grid payload (nil without grid sections); its geometry
+	// lives in hdr.gridP and hdr.gridKind.
+	gridOff     []int64
+	gridEdges   []Edge
+	gridWeights []float32
 }
 
-// Graph returns the materialized graph. When the container carries grid
-// sections the graph has them attached, so partition.BuildParallel with
-// a matching assigner returns the stored layout without building.
+// Graph returns the materialized graph.
 func (c *Container) Graph() *Graph { return c.g }
 
 // CSR returns the compressed adjacency view, or nil if the container
@@ -61,21 +63,16 @@ func (c *Container) Seed() uint64 { return c.hdr.seed }
 func (c *Container) ZeroCopy() bool { return c.zero }
 
 // GridP returns the stored grid's interval count, 0 if no grid.
-func (c *Container) GridP() int {
-	if c.grid == nil {
-		return 0
-	}
-	return c.grid.p
-}
+func (c *Container) GridP() int { return int(c.hdr.gridP) }
 
 // GridParts exposes the stored grid payload (offsets/edges/weights and
 // geometry) for verifier paths. ok is false without grid sections. The
 // slices must be treated as read-only.
 func (c *Container) GridParts() (offsets []int64, edges []Edge, weights []float32, p int, contiguous bool, ok bool) {
-	if c.grid == nil {
+	if c.hdr.gridP == 0 {
 		return nil, nil, nil, 0, false, false
 	}
-	return c.grid.offsets, c.grid.edges, c.grid.weights, c.grid.p, c.grid.contiguous, true
+	return c.gridOff, c.gridEdges, c.gridWeights, int(c.hdr.gridP), c.hdr.gridKind == v2GridContiguous, true
 }
 
 // Close releases the container's resources. On the zero-copy path this
@@ -368,12 +365,7 @@ func buildContainer(h v2Header, secs map[uint32]v2Section, get sectionBytes, zer
 					i, e.Src, e.Dst, h.nVerts)
 			}
 		}
-		pg := &preparedGrid{
-			p:          int(h.gridP),
-			contiguous: h.gridKind == v2GridContiguous,
-			offsets:    goff,
-			edges:      gedges,
-		}
+		c.gridOff, c.gridEdges = goff, gedges
 		if h.flags&v2FlagWeighted != 0 {
 			gwB, err := get(secs[SecGridWgt])
 			if err != nil {
@@ -389,10 +381,8 @@ func buildContainer(h v2Header, secs map[uint32]v2Section, get sectionBytes, zer
 					return nil, fmt.Errorf("graph: v2: grid weight %d is non-finite (%v)", i, w)
 				}
 			}
-			pg.weights = gw
+			c.gridWeights = gw
 		}
-		c.grid = pg
-		g.prep = pg
 	}
 	return c, nil
 }

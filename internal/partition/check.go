@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -90,6 +92,24 @@ func (gr *Grid) CheckPartition(g *graph.Graph) error {
 		for e, c := range counts {
 			return fmt.Errorf("partition: edge %d->%d multiplicity off by %+d between graph and grid", e.Src, e.Dst, -c)
 		}
+	}
+	return nil
+}
+
+// CheckLayout reports whether gr and want hold the same layout byte for
+// byte: block offsets, edges, and weights (presence and values). Every
+// builder of one graph under one assigner — BuildParallel, the streaming
+// builder, a v2 container's grid sections — must agree exactly.
+func (gr *Grid) CheckLayout(want *Grid) error {
+	switch {
+	case !slices.Equal(gr.offsets, want.offsets):
+		return errors.New("partition: block offsets differ")
+	case !slices.Equal(gr.edges, want.edges):
+		return errors.New("partition: edge layout differs")
+	case (gr.weights == nil) != (want.weights == nil):
+		return errors.New("partition: weight presence differs")
+	case !slices.Equal(gr.weights, want.weights):
+		return errors.New("partition: weight layout differs")
 	}
 	return nil
 }

@@ -5,8 +5,21 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
+
+// Blocks is the block-count half of the interval-block partition: the
+// assigner plus the P²+1 offsets that delimit every block in block-major
+// edge order, without the edges themselves. The cost model, the
+// controller trace, the timeline and the edge-image offsets read nothing
+// else, so a simulation needs P² integers, not a copy of |E| edges.
+type Blocks struct {
+	Assigner Assigner
+	// offsets[b]..offsets[b+1] delimit block b (id x·P + y) in the
+	// flattened block-major edge order.
+	offsets []int64
+}
 
 // Grid is the interval-block partitioned form of a graph: all edges
 // grouped by block, stored contiguously (block after block) exactly as
@@ -15,93 +28,36 @@ import (
 // block-major order follow the build; the flattened edge array index
 // multiplied by graph.EdgeBytes is the edge-memory byte address.
 type Grid struct {
-	Assigner Assigner
+	Blocks
 	// edges holds every edge, grouped by block in row-major block order
-	// (block id = x·P + y).
+	// (block id = x·P + y), delimited by the embedded offsets.
 	edges   []graph.Edge
 	weights []float32
-	// offsets[b]..offsets[b+1] delimit block b in edges.
-	offsets []int64
 }
 
 // Build partitions g under the assigner using a two-pass counting sort:
-// O(|E|) time, no per-block allocation. This is the production layout
-// path used by the simulator; it parallelizes across all available CPUs
-// (see BuildParallel for the worker knob and the determinism argument).
+// O(|E|) time, no per-block allocation. It parallelizes across all
+// available CPUs (see BuildParallel for the worker knob and the
+// determinism argument).
 func Build(g *graph.Graph, a Assigner) (*Grid, error) {
 	return BuildParallel(g, a, 0)
 }
 
 // BuildParallel is Build with an explicit worker count (≤0 means
 // GOMAXPROCS, 1 runs fully inline). The layout is byte-identical at any
-// worker count: pass one computes per-chunk block histograms in
-// parallel, a sequential prefix sum turns them into per-chunk write
+// worker count: pass one (countBlocks) computes per-chunk block
+// histograms in parallel and prefix-sums them into per-chunk write
 // cursors — chunks in edge-list order, so the sort stays stable — and
 // pass two scatters each chunk into its disjoint slots of the
 // preallocated edge/weight arrays.
 func BuildParallel(g *graph.Graph, a Assigner, workers int) (*Grid, error) {
-	if g.NumVertices != a.NumVertices() {
-		return nil, fmt.Errorf("partition: assigner built for %d vertices, graph has %d",
-			a.NumVertices(), g.NumVertices)
+	// Pass 1 keeps each edge's block id so the scatter pass does not
+	// recompute the two interval divisions.
+	bc, err := countBlocks(g, a, workers, true)
+	if err != nil {
+		return nil, err
 	}
-	p := a.P()
-	nb := p * p
-	ne := len(g.Edges)
-	if int64(p)*int64(p) > math.MaxInt32 {
-		return nil, fmt.Errorf("partition: %d intervals produce more blocks than addressable", p)
-	}
-
-	// Prepared fast path: a graph loaded from a v2 container may carry
-	// the stored grid layout. When the requested partitioning matches it
-	// exactly — same P, same assignment family, same weightedness — the
-	// stored layout IS the layout this build would produce (StreamGridInto
-	// and BuildParallel are byte-identical by construction, pinned by the
-	// stream tests), so return it without touching the edge list. Only
-	// the two production assigners qualify; a custom Assigner could
-	// disagree with the stored family even at equal P.
-	switch a.(type) {
-	case *Hashed:
-		if off, edges, w, ok := g.PreparedGrid(p, false, g.Weights != nil); ok {
-			return &Grid{Assigner: a, edges: edges, weights: w, offsets: off}, nil
-		}
-	case *Contiguous:
-		if off, edges, w, ok := g.PreparedGrid(p, true, g.Weights != nil); ok {
-			return &Grid{Assigner: a, edges: edges, weights: w, offsets: off}, nil
-		}
-	}
-
-	// Chunking: one chunk per worker, but never so many that histogram
-	// storage (chunks·P² cursors) dwarfs the edge list itself.
-	chunks := parallel.Workers(workers)
-	for chunks > 1 && (ne/chunks < 4096 || chunks*nb > 4*ne+nb) {
-		chunks--
-	}
-	chunkBounds := func(c int) (int, int) { return c * ne / chunks, (c + 1) * ne / chunks }
-
-	// Pass 1: per-chunk histograms, memoizing each edge's block id so the
-	// scatter pass does not recompute the two interval divisions.
-	ids := make([]int32, ne)
-	counts := make([]int64, chunks*nb)
-	_ = parallel.ForEach(chunks, chunks, func(c int) error {
-		lo, hi := chunkBounds(c)
-		fillBlockIDs(a, g.Edges, ids, lo, hi, counts[c*nb:(c+1)*nb])
-		return nil
-	})
-
-	// Prefix sum in (block, chunk) order: offsets delimit blocks, and
-	// each chunk's counter becomes its private write cursor inside the
-	// block — earlier chunks write earlier slots, preserving edge order.
-	offsets := make([]int64, nb+1)
-	var total int64
-	for b := 0; b < nb; b++ {
-		offsets[b] = total
-		for c := 0; c < chunks; c++ {
-			n := counts[c*nb+b]
-			counts[c*nb+b] = total
-			total += n
-		}
-	}
-	offsets[nb] = total
+	ne, nb, ids := bc.ne, a.P()*a.P(), bc.ids
 
 	// Pass 2: parallel scatter; chunks write disjoint index ranges per
 	// block, so the only shared state is read-only.
@@ -110,9 +66,9 @@ func BuildParallel(g *graph.Graph, a Assigner, workers int) (*Grid, error) {
 	if g.Weights != nil {
 		weights = make([]float32, ne)
 	}
-	_ = parallel.ForEach(chunks, chunks, func(c int) error {
-		lo, hi := chunkBounds(c)
-		cur := counts[c*nb : (c+1)*nb]
+	_ = parallel.ForEach(bc.chunks, bc.chunks, func(c int) error {
+		lo, hi := bc.bounds(c)
+		cur := bc.cursors[c*nb : (c+1)*nb]
 		if weights != nil {
 			for i := lo; i < hi; i++ {
 				at := cur[ids[i]]
@@ -129,7 +85,117 @@ func BuildParallel(g *graph.Graph, a Assigner, workers int) (*Grid, error) {
 		}
 		return nil
 	})
-	return &Grid{Assigner: a, edges: edges, weights: weights, offsets: offsets}, nil
+	return &Grid{Blocks: Blocks{Assigner: a, offsets: bc.offsets}, edges: edges, weights: weights}, nil
+}
+
+// MetricBlockBuilds counts HashedBlocks memo misses on obs.Default():
+// one per distinct (graph, P) a process partitions.
+const MetricBlockBuilds = "partition.blocks.builds"
+
+type hashedBlocksKey struct{ p int }
+
+// HashedBlocks returns the block offsets of g under the hashed assigner
+// with p intervals: the Blocks of BuildParallel(g, NewHashed(V, p)),
+// computed by the same pass one without the scatter or the edge copy.
+// The result is memoized on g (Graph.Memo), so every simulation of one
+// graph at one P shares a single read-only *Blocks for the graph's
+// lifetime. workers only sets the first build's parallelism; the
+// offsets do not depend on it.
+func HashedBlocks(g *graph.Graph, p, workers int) (*Blocks, error) {
+	v, err := g.Memo(hashedBlocksKey{p}, func() (any, error) {
+		a, err := NewHashed(g.NumVertices, p)
+		if err != nil {
+			return nil, err
+		}
+		obs.Default().Count(MetricBlockBuilds, 1)
+		bc, err := countBlocks(g, a, workers, false)
+		if err != nil {
+			return nil, err
+		}
+		return &Blocks{Assigner: a, offsets: bc.offsets}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Blocks), nil
+}
+
+// blockCount is the outcome of pass one: block offsets, each chunk's
+// private write cursors, chunk-major (cursors[c·P² + b]), and — when
+// kept — every edge's block id.
+type blockCount struct {
+	offsets []int64
+	cursors []int64
+	ids     []int32
+	chunks  int
+	ne      int
+}
+
+// bounds returns chunk c's half-open range of the edge list.
+func (bc *blockCount) bounds(c int) (int, int) {
+	return c * bc.ne / bc.chunks, (c + 1) * bc.ne / bc.chunks
+}
+
+// countWindow is the block-id scratch each chunk reuses when the caller
+// keeps no ids: small enough to stay cache-resident.
+const countWindow = 1 << 14
+
+// countBlocks is pass one of the counting sort, shared by BuildParallel
+// and HashedBlocks: per-chunk block histograms over g's edge list in
+// parallel, then a prefix sum in (block, chunk) order. The offsets
+// delimit blocks, and each chunk's counter becomes its private write
+// cursor inside the block — earlier chunks own earlier slots, which
+// keeps a scatter stable. keepIDs also records every edge's block id
+// (4 bytes per edge); without it each chunk reuses a small scratch.
+func countBlocks(g *graph.Graph, a Assigner, workers int, keepIDs bool) (*blockCount, error) {
+	if g.NumVertices != a.NumVertices() {
+		return nil, fmt.Errorf("partition: assigner built for %d vertices, graph has %d",
+			a.NumVertices(), g.NumVertices)
+	}
+	p := a.P()
+	if int64(p)*int64(p) > math.MaxInt32 {
+		return nil, fmt.Errorf("partition: %d intervals produce more blocks than addressable", p)
+	}
+	nb := p * p
+	ne := len(g.Edges)
+
+	// Chunking: one chunk per worker, but never so many that histogram
+	// storage (chunks·P² cursors) dwarfs the edge list itself.
+	chunks := parallel.Workers(workers)
+	for chunks > 1 && (ne/chunks < 4096 || chunks*nb > 4*ne+nb) {
+		chunks--
+	}
+	bc := &blockCount{cursors: make([]int64, chunks*nb), chunks: chunks, ne: ne}
+	if keepIDs {
+		bc.ids = make([]int32, ne)
+	}
+	_ = parallel.ForEach(chunks, chunks, func(c int) error {
+		lo, hi := bc.bounds(c)
+		hist := bc.cursors[c*nb : (c+1)*nb]
+		if keepIDs {
+			fillBlockIDs(a, g.Edges, bc.ids, lo, hi, hist)
+			return nil
+		}
+		scratch := make([]int32, min(hi-lo, countWindow))
+		for w := lo; w < hi; w += len(scratch) {
+			end := min(w+len(scratch), hi)
+			fillBlockIDs(a, g.Edges[w:end], scratch, 0, end-w, hist)
+		}
+		return nil
+	})
+
+	bc.offsets = make([]int64, nb+1)
+	var total int64
+	for b := 0; b < nb; b++ {
+		bc.offsets[b] = total
+		for c := 0; c < chunks; c++ {
+			n := bc.cursors[c*nb+b]
+			bc.cursors[c*nb+b] = total
+			total += n
+		}
+	}
+	bc.offsets[nb] = total
+	return bc, nil
 }
 
 // fillBlockIDs computes block ids for edges[lo:hi] into ids and bumps
@@ -203,7 +269,7 @@ func GridFromParts(a Assigner, offsets []int64, edges []graph.Edge, weights []fl
 	if weights != nil && len(weights) != len(edges) {
 		return nil, fmt.Errorf("partition: %d weights for %d edges", len(weights), len(edges))
 	}
-	return &Grid{Assigner: a, edges: edges, weights: weights, offsets: offsets}, nil
+	return &Grid{Blocks: Blocks{Assigner: a, offsets: offsets}, edges: edges, weights: weights}, nil
 }
 
 // BuildBuckets partitions g with per-block dynamic arrays (append-based),
@@ -231,9 +297,8 @@ func BuildBuckets(g *graph.Graph, a Assigner) (*Grid, error) {
 		}
 	}
 	gr := &Grid{
-		Assigner: a,
-		edges:    make([]graph.Edge, 0, len(g.Edges)),
-		offsets:  make([]int64, nb+1),
+		Blocks: Blocks{Assigner: a, offsets: make([]int64, nb+1)},
+		edges:  make([]graph.Edge, 0, len(g.Edges)),
 	}
 	if g.Weights != nil {
 		gr.weights = make([]float32, 0, len(g.Edges))
@@ -263,7 +328,44 @@ func log2(p uint32) uint32 {
 }
 
 // P returns the number of intervals per dimension.
-func (gr *Grid) P() int { return gr.Assigner.P() }
+func (b *Blocks) P() int { return b.Assigner.P() }
+
+// BlockLen returns the number of edges in block (x, y).
+func (b *Blocks) BlockLen(x, y int) int {
+	id := x*b.P() + y
+	return int(b.offsets[id+1] - b.offsets[id])
+}
+
+// BlockOffset returns the index of block (x, y)'s first edge within the
+// flattened edge array; ×graph.EdgeBytes gives the edge-memory address.
+func (b *Blocks) BlockOffset(x, y int) int64 {
+	return b.offsets[x*b.P()+y]
+}
+
+// NonEmpty counts blocks with at least one edge.
+func (b *Blocks) NonEmpty() int {
+	n := 0
+	for id := 0; id < b.P()*b.P(); id++ {
+		if b.offsets[id+1] > b.offsets[id] {
+			n++
+		}
+	}
+	return n
+}
+
+// IntervalEdgeCounts returns, per destination interval, the number of
+// edges that update it — the per-PU workload whose balance the hash
+// assignment improves.
+func (b *Blocks) IntervalEdgeCounts() []int64 {
+	p := b.P()
+	counts := make([]int64, p)
+	for x := 0; x < p; x++ {
+		for y := 0; y < p; y++ {
+			counts[y] += int64(b.BlockLen(x, y))
+		}
+	}
+	return counts
+}
 
 // NumEdges returns the total edge count.
 func (gr *Grid) NumEdges() int { return len(gr.edges) }
@@ -283,43 +385,6 @@ func (gr *Grid) BlockWeights(x, y int) []float32 {
 	}
 	b := x*gr.P() + y
 	return gr.weights[gr.offsets[b]:gr.offsets[b+1]]
-}
-
-// BlockLen returns the number of edges in block (x, y).
-func (gr *Grid) BlockLen(x, y int) int {
-	b := x*gr.P() + y
-	return int(gr.offsets[b+1] - gr.offsets[b])
-}
-
-// BlockOffset returns the index of block (x, y)'s first edge within the
-// flattened edge array; ×graph.EdgeBytes gives the edge-memory address.
-func (gr *Grid) BlockOffset(x, y int) int64 {
-	return gr.offsets[x*gr.P()+y]
-}
-
-// NonEmpty counts blocks with at least one edge.
-func (gr *Grid) NonEmpty() int {
-	n := 0
-	for b := 0; b < gr.P()*gr.P(); b++ {
-		if gr.offsets[b+1] > gr.offsets[b] {
-			n++
-		}
-	}
-	return n
-}
-
-// IntervalEdgeCounts returns, per destination interval, the number of
-// edges that update it — the per-PU workload whose balance the hash
-// assignment improves.
-func (gr *Grid) IntervalEdgeCounts() []int64 {
-	p := gr.P()
-	counts := make([]int64, p)
-	for x := 0; x < p; x++ {
-		for y := 0; y < p; y++ {
-			counts[y] += int64(gr.BlockLen(x, y))
-		}
-	}
-	return counts
 }
 
 // Occupancy summarizes block occupancy for a virtual grid with fixed

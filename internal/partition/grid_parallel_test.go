@@ -1,10 +1,12 @@
 package partition
 
 import (
-	"reflect"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // sequentialReference rebuilds the grid the way the pre-parallel Build
@@ -37,19 +39,13 @@ func sequentialReference(t *testing.T, g *graph.Graph, a Assigner) *Grid {
 		}
 		next[b]++
 	}
-	return &Grid{Assigner: a, edges: edges, weights: weights, offsets: offsets}
+	return &Grid{Blocks: Blocks{Assigner: a, offsets: offsets}, edges: edges, weights: weights}
 }
 
 func gridsIdentical(t *testing.T, label string, got, want *Grid) {
 	t.Helper()
-	if !reflect.DeepEqual(got.edges, want.edges) {
-		t.Fatalf("%s: edge layout differs", label)
-	}
-	if !reflect.DeepEqual(got.weights, want.weights) {
-		t.Fatalf("%s: weight layout differs", label)
-	}
-	if !reflect.DeepEqual(got.offsets, want.offsets) {
-		t.Fatalf("%s: block offsets differ", label)
+	if err := got.CheckLayout(want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -131,6 +127,55 @@ func TestBuildParallelSelfLoops(t *testing.T) {
 			}
 			if err := gr.CheckPartition(g); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// HashedBlocks must report exactly the block offsets of
+// BuildParallel(NewHashed) for power-of-two and ragged P, on weighted
+// and unweighted graphs, at any worker count — the graph is large
+// enough for four chunks of several scratch windows each — and memoize
+// them: a second call returns the same *Blocks without a build.
+func TestHashedBlocksMatchesBuildParallel(t *testing.T) {
+	reg := obs.NewRegistry()
+	obs.SetDefault(reg)
+	t.Cleanup(func() { obs.SetDefault(nil) })
+
+	var builds int64
+	for _, weighted := range []bool{false, true} {
+		base := streamTestGraph(t, weighted)
+		for _, p := range []int{7, 8, 32, 100} {
+			a, err := NewHashed(base.NumVertices, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := BuildParallel(base, a, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 4} {
+				label := fmt.Sprintf("weighted=%v/P=%d/workers=%d", weighted, p, workers)
+				// A fresh graph per case, so every case builds.
+				g := &graph.Graph{NumVertices: base.NumVertices, Edges: base.Edges, Weights: base.Weights}
+				got, err := HashedBlocks(g, p, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				builds++
+				if got.P() != p || !slices.Equal(got.offsets, want.offsets) {
+					t.Fatalf("%s: offsets differ from BuildParallel's", label)
+				}
+				again, err := HashedBlocks(g, p, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again != got {
+					t.Fatalf("%s: second call returned a different *Blocks", label)
+				}
+				if n := reg.Counter(MetricBlockBuilds); n != builds {
+					t.Fatalf("%s: %d builds counted, want %d", label, n, builds)
+				}
 			}
 		}
 	}
